@@ -1,12 +1,14 @@
 """Throughput of this library's own engines (not a paper artifact).
 
-The reproduction keeps two equivalent engines: the event-at-a-time
-reference (the executable spec, also what pipeline workers run) and the
-vectorized numpy engine.  This bench records both throughputs — and the
-vectorized/worker-kernel speedups that make whole-suite experiments
-practical — into the ``engine`` suite record, with the >=5x / >=1.5x
-floors declared on the metrics themselves so ``ddprof bench compare``
-enforces them alongside the baseline regression gate.
+The reproduction keeps two engines with identical output: the
+event-at-a-time reference (the executable spec) and one vectorized numpy
+kernel, ``ChunkKernel``, which one-shot profiling runs over the whole trace
+and pipeline workers run chunk by chunk.  This bench records both
+throughputs — and the one-shot and per-chunk worker speedups that make
+whole-suite experiments practical — into the ``engine`` suite record, with
+the >=5x / >=1.5x floors declared on the metrics themselves so
+``ddprof bench compare`` enforces them alongside the baseline regression
+gate.
 """
 
 import pytest
@@ -61,8 +63,9 @@ def test_vectorized_speedup(benchmark, big_trace, bench_record):
 
 
 def test_signature_mode_throughput(benchmark, big_trace, bench_record):
-    """Signature hashing adds little over perfect keys in the vectorized
-    engine (keys are hashed columns either way)."""
+    """Signature hashing adds little over perfect keys in one-shot
+    vectorized profiling (both key the planes through a dense key space;
+    the signature hashes first)."""
     per = eps_samples(big_trace, PERFECT, "vectorized")
     sig = eps_samples(big_trace, SIG, "vectorized")
     s = bench_record.record(

@@ -41,8 +41,8 @@ def table2(nas_names):
         # m >> n^2/2 (birthday bound) — a single conflated address pair can
         # fabricate carried dependences in *every* loop sharing the arrays
         # (FT's butterfly stages), so per-lookup FPR is the wrong yardstick
-        # here.  Slot counts are virtual in the vectorized engine (keys are
-        # hashes; no array is materialized), so the size costs nothing.
+        # here.  One-shot vectorized profiling keeps plane rows only for
+        # the hash slots actually touched, so the size costs nothing.
         n = batch.n_unique_addresses
         slots = max(1 << 22, 64 * n * n)
         dp = identified_set(batch, meta, PERFECT)

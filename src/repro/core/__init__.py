@@ -9,10 +9,12 @@ Two engines implement identical semantics:
 
 * :class:`ReferenceEngine` — Algorithm 1 transcribed event-at-a-time; the
   executable specification.
-* :class:`VectorizedEngine` — a numpy formulation that sorts accesses by
-  (tracking key, stream position) and derives each access's previous
-  read/write via segmented cumulative maxima; orders of magnitude faster and
-  property-tested equal to the reference.
+* ``"vectorized"`` — :class:`~repro.core.vectorized.ChunkKernel`, a numpy
+  formulation that sorts accesses by (tracking key, stream position) and
+  derives each access's previous read/write via segmented cumulative
+  maxima.  One-shot profiling runs it once over the whole trace, pipeline
+  workers chunk by chunk; it is differentially tested against the
+  reference on random and delayed-push multithreaded traces.
 
 Both are exposed through the :class:`DependenceProfiler` facade, which picks
 trackers from a :class:`~repro.common.ProfilerConfig` (array signature or
@@ -26,10 +28,9 @@ from repro.core.deps import (
     instance_rates,
     set_rates,
 )
-from repro.core.controlflow import LoopIndex, LoopInfo, extract_loop_info
+from repro.core.controlflow import LoopInfo, extract_loop_info
 from repro.core.result import ProfileResult, ProfileStats
 from repro.core.reference import ReferenceEngine
-from repro.core.vectorized import VectorizedEngine
 from repro.core.profiler import DependenceProfiler, profile_trace
 from repro.core.output import (
     OutputDiff,
@@ -43,13 +44,11 @@ __all__ = [
     "Dependence",
     "DependenceProfiler",
     "DependenceStore",
-    "LoopIndex",
     "LoopInfo",
     "OutputDiff",
     "ProfileResult",
     "ProfileStats",
     "ReferenceEngine",
-    "VectorizedEngine",
     "diff_outputs",
     "extract_loop_info",
     "format_dependences",

@@ -3,8 +3,9 @@
 The profiler reports, next to the dependences, where control regions begin
 and end and how many iterations each loop executed (the ``BGN loop`` /
 ``END loop 1200`` lines of Figure 1).  This module extracts that view from a
-trace, and builds the per-``(loop site, thread)`` timestamp indexes the
-vectorized engine uses to decide whether a dependence is loop-carried.
+trace, and builds the push-order loop-frame snapshots
+(:class:`LoopStateIndex`) the vectorized kernel uses to decide whether a
+dependence is loop-carried.
 """
 
 from __future__ import annotations
@@ -98,78 +99,6 @@ def extract_loop_info(batch: TraceBatch) -> dict[int, LoopInfo]:
     return loops
 
 
-class LoopIndex:
-    """Timestamp indexes answering "is this dependence loop-carried?".
-
-    For every ``(site, tid)`` pair we keep two sorted timestamp arrays:
-    loop-entry timestamps and iteration-start timestamps.  A dependence whose
-    sink executed at ``sink_ts`` inside that loop is carried iff the source
-    timestamp falls inside the same dynamic loop execution but *before* the
-    start of the sink's current iteration::
-
-        entry_ts <= source_ts < current_iteration_start_ts
-
-    which is exactly the test the reference engine performs against its live
-    loop-frame stack.
-    """
-
-    def __init__(self, batch: TraceBatch) -> None:
-        entries: dict[tuple[int, int], list[int]] = {}
-        iters: dict[tuple[int, int], list[int]] = {}
-        for i in loop_event_rows(batch, LOOP_ENTER, LOOP_ITER):
-            key = (int(batch.addr[i]), int(batch.tid[i]))
-            ts = int(batch.ts[i])
-            if batch.kind[i] == LOOP_ENTER:
-                entries.setdefault(key, []).append(ts)
-            else:
-                iters.setdefault(key, []).append(ts)
-        # Loop events are pushed in increasing-ts order per thread; sort to be
-        # safe against interleaved multi-thread reordering of pushes.
-        self._entries = {k: np.array(sorted(v), dtype=np.int64) for k, v in entries.items()}
-        self._iters = {k: np.array(sorted(v), dtype=np.int64) for k, v in iters.items()}
-
-    def carried(self, site: int, tid: int, source_ts: int, sink_ts: int) -> bool:
-        """Scalar carried test (reference/spot checks)."""
-        key = (site, tid)
-        ent = self._entries.get(key)
-        its = self._iters.get(key)
-        if ent is None or its is None or len(its) == 0:
-            return False
-        ei = int(np.searchsorted(ent, sink_ts, side="right")) - 1
-        if ei < 0:
-            return False
-        ii = int(np.searchsorted(its, sink_ts, side="right")) - 1
-        if ii < 0:
-            return False
-        entry_ts = int(ent[ei])
-        iter_start = int(its[ii])
-        return entry_ts <= source_ts < iter_start
-
-    def carried_many(
-        self,
-        site: int,
-        tid: int,
-        source_ts: np.ndarray,
-        sink_ts: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized carried test for aligned source/sink timestamp arrays."""
-        key = (site, tid)
-        ent = self._entries.get(key)
-        its = self._iters.get(key)
-        out = np.zeros(len(sink_ts), dtype=bool)
-        if ent is None or its is None or len(its) == 0:
-            return out
-        ei = np.searchsorted(ent, sink_ts, side="right") - 1
-        ii = np.searchsorted(its, sink_ts, side="right") - 1
-        ok = (ei >= 0) & (ii >= 0)
-        if not ok.any():
-            return out
-        entry_ts = ent[np.clip(ei, 0, None)]
-        iter_start = its[np.clip(ii, 0, None)]
-        out[ok] = (entry_ts[ok] <= source_ts[ok]) & (source_ts[ok] < iter_start[ok])
-        return out
-
-
 class _TidLoopStates:
     """Per-thread loop-frame snapshots, one row per loop event of the thread."""
 
@@ -196,102 +125,76 @@ class LoopStateIndex:
     The reference engine classifies a dependence as loop-carried against the
     thread's live loop-frame stack at the moment the *sink* event is
     processed — i.e. the stack produced by all loop events preceding the
-    sink in the event stream.  :class:`LoopIndex` approximates that with
-    access timestamps, which agrees only when pushes preserve per-thread
-    program order.  This index replays the loop events once in global row
-    order, snapshots each thread's stack after every one of its loop events,
-    and answers the carried test for a sink at global row ``i`` with the
-    exact stack the reference engine would have held — which is what the
-    incremental chunk kernel needs to match it bit for bit.
+    sink in the event stream (push order, not access timestamps: under the
+    delayed pushes of Section V the two differ).  This index snapshots each
+    thread's stack after every one of its loop events and answers the
+    carried test for a sink at global row ``i`` with the exact stack the
+    reference engine would have held.
+
+    The snapshots are built per thread with array operations instead of a
+    replay.  The stack depth after each loop event is a ±1 walk clamped at
+    zero (an EXIT on an empty stack is a no-op)::
+
+        c = cumsum(step);  d = c - min(0, cummin(c))
+
+    Stack level ``lvl`` is live where ``d > lvl``; its frame was pushed by
+    the latest ENTER whose post-depth is ``lvl + 1`` (a later one would
+    have needed the frame popped first), and its iteration started at the
+    latest ITER at depth ``lvl + 1`` after that ENTER, else at entry.
     """
 
     def __init__(self, batch: TraceBatch) -> None:
-        kinds = batch.kind
         loop_rows = loop_event_rows(batch, LOOP_ENTER, LOOP_ITER, LOOP_EXIT)
-        # Bulk-extract once; per-element fancy indexing in the replay loop
-        # would dominate the build for loop-dense traces.
-        l_kind = np.asarray(kinds[loop_rows]).tolist()
-        l_tid = batch.tid[loop_rows].tolist()
-        l_ts = batch.ts[loop_rows].tolist()
-        l_addr = batch.addr[loop_rows].tolist()
-        l_row = loop_rows.tolist()
-        # Per-tid state: the live stack as three parallel scalar lists, plus
-        # append-only snapshot *columns* per stack level.  Appending the
-        # current frame values per event snapshots them without copying the
-        # stack — an O(max depth) bound per event instead of O(depth) list
-        # allocations.
-        stacks: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        per_tid_rows: dict[int, list[int]] = {}
-        per_tid_dep: dict[int, list[int]] = {}
-        # levels[tid][lvl] = (site_col, entry_col, iter_col)
-        levels: dict[int, list[tuple[list[int], list[int], list[int]]]] = {}
+        kind = np.asarray(batch.kind[loop_rows])
+        tid = np.asarray(batch.tid[loop_rows]).astype(np.int64, copy=False)
+        ts = np.asarray(batch.ts[loop_rows]).astype(np.int64, copy=False)
+        site = np.asarray(batch.addr[loop_rows]).astype(np.int64, copy=False)
+        step = (kind == LOOP_ENTER).astype(np.int64) - (kind == LOOP_EXIT)
+        order = np.argsort(tid, kind="stable")
+        tids, starts = np.unique(tid[order], return_index=True)
+        bounds = np.append(starts, len(order))
+        walks: list[tuple[int, np.ndarray, np.ndarray]] = []
         depth = 0
-        for kind, tid, ts, addr, row in zip(l_kind, l_tid, l_ts, l_addr, l_row):
-            st = stacks.get(tid)
-            if st is None:
-                st = ([], [], [])
-                stacks[tid] = st
-                per_tid_rows[tid] = []
-                per_tid_dep[tid] = []
-                levels[tid] = []
-            s_site, s_entry, s_iter = st
-            if kind == LOOP_ENTER:
-                s_site.append(addr)
-                s_entry.append(ts)
-                s_iter.append(ts)
-                if len(s_site) > depth:
-                    depth = len(s_site)
-                    if depth > MAX_SNAPSHOT_DEPTH:
-                        raise ProfilerError(
-                            f"loop nest depth {depth} exceeds supported "
-                            f"{MAX_SNAPSHOT_DEPTH}"
-                        )
-            elif kind == LOOP_ITER:
-                if s_site:
-                    s_iter[-1] = ts
-            elif s_site:  # LOOP_EXIT
-                s_site.pop()
-                s_entry.pop()
-                s_iter.pop()
-            rows_t = per_tid_rows[tid]
-            rows_t.append(row)
-            d = len(s_site)
-            per_tid_dep[tid].append(d)
-            lvls = levels[tid]
-            while len(lvls) < d:
-                # New deepest level for this tid: back-fill the snapshots
-                # that predate this event (its own values are appended by
-                # the per-level loop below).
-                pad = len(rows_t) - 1
-                lvls.append(
-                    ([-1] * pad, [0] * pad, [0] * pad)
-                )
-            for lvl, (c_site, c_entry, c_iter) in enumerate(lvls):
-                if lvl < d:
-                    c_site.append(s_site[lvl])
-                    c_entry.append(s_entry[lvl])
-                    c_iter.append(s_iter[lvl])
-                else:
-                    c_site.append(-1)
-                    c_entry.append(0)
-                    c_iter.append(0)
+        for t, lo, hi in zip(tids.tolist(), bounds[:-1], bounds[1:]):
+            sel = order[lo:hi]
+            c = np.cumsum(step[sel])
+            d = c - np.minimum(np.minimum.accumulate(c), 0)
+            depth = max(depth, int(d.max()))
+            walks.append((t, sel, d))
+        if depth > MAX_SNAPSHOT_DEPTH:
+            raise ProfilerError(
+                f"loop nest depth {depth} exceeds supported {MAX_SNAPSHOT_DEPTH}"
+            )
         #: Deepest stack observed across all threads; the carried-site matrix
         #: returned by :meth:`carried_sites` has this many columns.
         self.depth = depth
+        width = max(depth, 1)
         self._tids: dict[int, _TidLoopStates] = {}
-        for tid, rows in per_tid_rows.items():
-            n_states = len(rows) + 1  # state 0 = empty stack
-            dep = np.zeros(n_states, dtype=np.int64)
-            dep[1:] = per_tid_dep[tid]
-            site = np.full((n_states, max(depth, 1)), -1, dtype=np.int64)
-            entry = np.zeros((n_states, max(depth, 1)), dtype=np.int64)
-            iterts = np.zeros((n_states, max(depth, 1)), dtype=np.int64)
-            for lvl, (c_site, c_entry, c_iter) in enumerate(levels[tid]):
-                site[1:, lvl] = c_site
-                entry[1:, lvl] = c_entry
-                iterts[1:, lvl] = c_iter
-            self._tids[tid] = _TidLoopStates(
-                np.asarray(rows, dtype=np.int64), dep, site, entry, iterts
+        for t, sel, d in walks:
+            n = len(sel)
+            k, t_ts, t_site = kind[sel], ts[sel], site[sel]
+            idx = np.arange(n, dtype=np.int64)
+            is_enter = k == LOOP_ENTER
+            is_iter = k == LOOP_ITER
+            # State 0 is the empty stack before the thread's first event.
+            s_site = np.full((n + 1, width), -1, dtype=np.int64)
+            s_entry = np.zeros((n + 1, width), dtype=np.int64)
+            s_iter = np.zeros((n + 1, width), dtype=np.int64)
+            for lvl in range(int(d.max()) if n else 0):
+                top = d == lvl + 1
+                ent = np.maximum.accumulate(np.where(is_enter & top, idx, -1))
+                it = np.maximum.accumulate(np.where(is_iter & top, idx, -1))
+                live = d > lvl
+                ent = np.maximum(ent, 0)  # only read where live, hence >= 0
+                s_site[1:, lvl] = np.where(live, t_site[ent], -1)
+                s_entry[1:, lvl] = np.where(live, t_ts[ent], 0)
+                s_iter[1:, lvl] = np.where(
+                    live, t_ts[np.where(it > ent, it, ent)], 0
+                )
+            dep = np.zeros(n + 1, dtype=np.int64)
+            dep[1:] = d
+            self._tids[t] = _TidLoopStates(
+                loop_rows[sel], dep, s_site, s_entry, s_iter
             )
 
     def carried_sites(
@@ -313,10 +216,13 @@ class LoopStateIndex:
             return np.full((n, self.depth), -1, dtype=np.int64)
         k = np.searchsorted(st.rows, sink_rows, side="left")
         dep = st.depth[k]
-        sites = st.site[k, : self.depth]
-        entry = st.entry[k, : self.depth]
-        iterts = st.iterts[k, : self.depth]
-        lvl = np.arange(self.depth, dtype=np.int64)
-        src = source_ts[:, None]
-        hit = (lvl[None, :] < dep[:, None]) & (entry <= src) & (src < iterts)
-        return np.where(hit, sites, np.int64(-1))
+        out = np.full((n, self.depth), -1, dtype=np.int64)
+        # Column by column: levels at or above a row's depth never hit.
+        for lvl in range(int(dep.max(initial=0))):
+            hit = (
+                (dep > lvl)
+                & (st.entry[k, lvl] <= source_ts)
+                & (source_ts < st.iterts[k, lvl])
+            )
+            out[hit, lvl] = st.site[k[hit], lvl]
+        return out

@@ -7,7 +7,9 @@ callers profile a trace in one line::
 
 Engines:
 
-* ``"vectorized"`` (default) — the numpy engine; identical output, fast.
+* ``"vectorized"`` (default) — one :class:`~repro.core.vectorized.ChunkKernel`
+  pass over the whole trace, the same kernel the pipeline workers run;
+  identical output, fast.
 * ``"reference"``  — Algorithm 1 event-at-a-time; the executable spec.
 
 Telemetry: pass a :class:`~repro.obs.metrics.MetricsRegistry` to record an
@@ -21,7 +23,7 @@ from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
 from repro.core.reference import ReferenceEngine
 from repro.core.result import ProfileResult
-from repro.core.vectorized import VectorizedEngine
+from repro.core.vectorized import ChunkKernel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.sigmem import ArraySignature, PerfectSignature
@@ -84,7 +86,7 @@ class DependenceProfiler:
             raise ProfilerError(f"unknown engine {engine!r}; pick from {ENGINES}")
         self.config = config if config is not None else ProfilerConfig()
         # Per-dependence attribution needs the event-at-a-time engine (the
-        # vectorized engine never materialises individual instances), so a
+        # vectorized kernel never materialises individual instances), so a
         # collector silently selects "reference".
         self.engine_name = "reference" if provenance is not None else engine
         self.registry = registry
@@ -97,7 +99,7 @@ class DependenceProfiler:
         if reg is None:
             # Uninstrumented fast path — identical to the seed behaviour.
             if self.engine_name == "vectorized":
-                return VectorizedEngine(self.config).run(batch)
+                return ChunkKernel.one_shot(self.config).run(batch)
             read_tracker, write_tracker = make_trackers(
                 self.config, track_conflicts=prov is not None
             )
@@ -107,7 +109,7 @@ class DependenceProfiler:
 
         with reg.span("engine", engine=self.engine_name):
             if self.engine_name == "vectorized":
-                result = VectorizedEngine(self.config).run(batch)
+                result = ChunkKernel.one_shot(self.config).run(batch)
             else:
                 read_tracker, write_tracker = make_trackers(
                     self.config, reg, track_conflicts=prov is not None

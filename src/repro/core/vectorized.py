@@ -1,28 +1,15 @@
-"""Vectorized profiling engine.
+"""The vectorized Algorithm-1 kernel.
 
 Produces the same :class:`~repro.core.deps.DependenceStore` as the reference
 engine, but in O(n log n) numpy instead of a Python event loop.  The key
 observation: Algorithm 1 is a per-*tracking-key* recurrence (key = address
 for the perfect signature, key = hash slot for the array signature), and the
 "last read / last write before me on my key" quantities it consults can be
-computed for all accesses at once:
+computed for all accesses of a chunk at once (see :class:`ChunkKernel`).
 
-1. expand FREE events into per-key *kill* rows (variable-lifetime removal),
-2. stable-sort all rows by ``(key, stream position)``,
-3. split each key's run into *epochs* at kill rows,
-4. compute, per row, the index of the previous read and previous write in
-   its (key, epoch) segment via a segmented cumulative maximum,
-5. apply Algorithm 1's branch table as boolean masks,
-6. classify loop-carried dependences through timestamp indexes
-   (:class:`~repro.core.controlflow.LoopIndex`),
-7. merge identical records with one ``np.unique`` over the packed columns.
-
-Semantics note: loop-carried classification uses access *timestamps*.  For
-multi-threaded targets whose unsynchronized accesses are pushed out of order
-(the data-race scenarios of Section V-B), the reference engine classifies
-against the loop-frame state at *push* time while this engine classifies
-against *access* time; the two agree whenever each thread's pushes preserve
-its own program order, which locks guarantee (Figure 4).
+One kernel serves every vectorized path: one-shot profiling runs it once
+over the whole trace (:meth:`ChunkKernel.run`), pipeline workers run it
+chunk by chunk with their tracker state carried in between.
 """
 
 from __future__ import annotations
@@ -31,15 +18,12 @@ import numpy as np
 
 from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
-from repro.core.controlflow import LoopIndex, LoopStateIndex, extract_loop_info
+from repro.core.controlflow import LoopStateIndex, extract_loop_info
 from repro.core.deps import DepType, Dependence, DependenceStore
 from repro.core.result import ProfileResult, ProfileStats
 from repro.core.reference import ACCESS_GRANULARITY
-from repro.sigmem.hashing import hash_addresses
-from repro.sigmem.planes import DensePlaneTracker
+from repro.sigmem.planes import DenseKeySpace, DensePlaneTracker
 from repro.trace import FREE, READ, WRITE, TraceBatch
-
-_MAX_LOOP_DEPTH = 32
 
 _READ_CAT = 0
 _WRITE_CAT = 1
@@ -67,303 +51,59 @@ def _unique_rows(cols: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     return [c[starts] for c in sorted_cols], counts
 
 
-class VectorizedEngine:
-    """Batch-vectorized Algorithm 1.
+def _segment_prev(
+    is_kill: np.ndarray,
+    new_key: np.ndarray,
+    starts: np.ndarray,
+    grp: np.ndarray,
+    idx: np.ndarray,
+    write_rows: np.ndarray,
+    read_rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Previous write / previous read per row within its segment, plus the
+    rows in their key's first segment.
 
-    ``signature_slots=None`` selects perfect (per-address) tracking;
-    otherwise keys are hash slots of an array signature of that size.
+    Rows are sorted by ``(key, position)``; ``starts``/``grp`` are each key
+    group's first row and each row's group.  A segment is a key's run cut
+    after each kill row.  The previous candidate is a segmented cumulative
+    maximum over row indices (``-1`` where the segment has none yet).
     """
+    n = len(idx)
+    big = np.int64(n + 2)
+    kills_before = np.zeros(n, dtype=np.int64)
+    np.cumsum(is_kill[:-1], out=kills_before[1:])
+    boundary = new_key.copy()
+    boundary[1:] |= kills_before[1:] != kills_before[:-1]
+    seg_off = np.cumsum(boundary, dtype=np.int64) * big
+    del boundary
+    first_seg = kills_before == kills_before[starts][grp]
+    del kills_before
 
-    def __init__(self, config: ProfilerConfig) -> None:
-        self.config = config
+    def prev_of(candidate_mask: np.ndarray) -> np.ndarray:
+        run = np.maximum.accumulate(np.where(candidate_mask, idx, -1) + seg_off)
+        prev = np.empty(n, dtype=np.int64)
+        prev[0] = -1
+        np.subtract(run[:-1], seg_off[1:], out=prev[1:])
+        prev[prev < 0] = -1
+        return prev
 
-    # -- key derivation ------------------------------------------------------
-    def _keys_for(self, addrs: np.ndarray) -> np.ndarray:
-        if self.config.perfect_signature:
-            return addrs
-        return hash_addresses(
-            addrs, self.config.signature_slots, self.config.hash_salt
-        )
-
-    def run(self, batch: TraceBatch) -> ProfileResult:
-        cfg = self.config
-        stats = ProfileStats(n_events=len(batch))
-        store = DependenceStore()
-
-        kind = batch.kind
-        is_read = kind == READ
-        is_write = kind == WRITE
-        acc_mask = is_read | is_write
-        acc_idx = np.flatnonzero(acc_mask)
-        stats.n_reads = int(np.count_nonzero(is_read))
-        stats.n_writes = int(np.count_nonzero(is_write))
-        stats.n_accesses = stats.n_reads + stats.n_writes
-        stats.n_unique_addresses = batch.n_unique_addresses
-        stats.tracker_memory_bytes = self._tracker_memory(batch)
-
-        loops = extract_loop_info(batch)
-        if stats.n_accesses == 0:
-            return ProfileResult(
-                store=store,
-                loops=loops,
-                stats=stats,
-                var_names=batch.var_names,
-                file_names=batch.file_names,
-                multithreaded=batch.n_threads > 1 or cfg.multithreaded_target,
-            )
-
-        # ---- assemble rows: accesses + kill rows from FREE events ---------
-        pos = acc_idx.astype(np.int64)
-        key = self._keys_for(batch.addr[acc_idx])
-        cat = np.where(is_write[acc_idx], _WRITE_CAT, _READ_CAT).astype(np.int8)
-        loc = batch.loc[acc_idx].astype(np.int64)
-        var = batch.var[acc_idx].astype(np.int64)
-        tid = batch.tid[acc_idx].astype(np.int64)
-        ts = batch.ts[acc_idx].astype(np.int64)
-        ctx = batch.ctx[acc_idx].astype(np.int64)
-
-        if cfg.track_lifetime:
-            kp, kk = self._kill_rows(batch)
-            if len(kp):
-                zeros = np.zeros(len(kp), dtype=np.int64)
-                pos = np.concatenate([pos, kp])
-                key = np.concatenate([key, kk])
-                cat = np.concatenate([cat, np.full(len(kp), _KILL_CAT, dtype=np.int8)])
-                loc = np.concatenate([loc, zeros - 1])
-                var = np.concatenate([var, zeros - 1])
-                tid = np.concatenate([tid, zeros])
-                ts = np.concatenate([ts, zeros])
-                ctx = np.concatenate([ctx, zeros - 1])
-
-        # ---- sort by (key, stream position) -------------------------------
-        order = np.lexsort((pos, key))
-        key = key[order]
-        cat = cat[order]
-        pos = pos[order]
-        loc = loc[order]
-        var = var[order]
-        tid = tid[order]
-        ts = ts[order]
-        ctx = ctx[order]
-        n = len(key)
-
-        # ---- segment ids: new key, or kill boundary within a key ----------
-        is_kill = cat == _KILL_CAT
-        kills_before = np.concatenate(
-            [[0], np.cumsum(is_kill[:-1], dtype=np.int64)]
-        )
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = key[1:] != key[:-1]
-        # Segment at key starts and after each kill; both signals only ever
-        # increase within the sort, so a simple OR of changes suffices.
-        seg_boundary = new_key.copy()
-        seg_boundary[1:] |= kills_before[1:] != kills_before[:-1]
-        seg_id = np.cumsum(seg_boundary, dtype=np.int64)
-
-        # ---- previous read / previous write per segment --------------------
-        big = np.int64(n + 2)
-        idx = np.arange(n, dtype=np.int64)
-
-        def prev_of(candidate_mask: np.ndarray) -> np.ndarray:
-            cand = np.where(candidate_mask, idx, np.int64(-1)) + seg_id * big
-            run = np.maximum.accumulate(cand)
-            prev = np.empty(n, dtype=np.int64)
-            prev[0] = -1
-            prev[1:] = run[:-1] - seg_id[1:] * big
-            prev[prev < 0] = -1
-            return prev
-
-        prev_w = prev_of(cat == _WRITE_CAT)
-        prev_r = prev_of(cat == _READ_CAT)
-
-        # ---- Algorithm 1 branch table as masks ------------------------------
-        read_rows = cat == _READ_CAT
-        write_rows = cat == _WRITE_CAT
-        raw_mask = read_rows & (prev_w >= 0)
-        init_mask = write_rows & (prev_w < 0)
-        waw_mask = write_rows & (prev_w >= 0)
-        war_mask = waw_mask & (prev_r >= 0)
-
-        emit_plan = [
-            (DepType.RAW, raw_mask, prev_w),
-            (DepType.WAR, war_mask, prev_r),
-            (DepType.WAW, waw_mask, prev_w),
-        ]
-        if not cfg.ignore_rar:
-            emit_plan.append((DepType.RAR, read_rows & (prev_r >= 0), prev_r))
-
-        loop_index = LoopIndex(batch)
-        races_total = 0
-        for dep_type, mask, src_of in emit_plan:
-            rows = np.flatnonzero(mask)
-            stats.dep_instances[dep_type] += len(rows)
-            if len(rows) == 0:
-                continue
-            src = src_of[rows]
-            races_total += self._emit(
-                store,
-                dep_type,
-                sink_loc=loc[rows],
-                sink_tid=tid[rows],
-                sink_ts=ts[rows],
-                sink_ctx=ctx[rows],
-                src_loc=loc[src],
-                src_tid=tid[src],
-                src_var=var[src],
-                src_ts=ts[src],
-                loop_index=loop_index,
-                ctx_stacks=batch.ctx_stacks,
-            )
-
-        init_rows = np.flatnonzero(init_mask)
-        stats.dep_instances[DepType.INIT] += len(init_rows)
-        if len(init_rows):
-            (u_loc, u_tid), counts = _unique_rows(
-                [loc[init_rows], tid[init_rows]]
-            )
-            for s_loc, s_tid, c in zip(u_loc, u_tid, counts):
-                store.add_merged(
-                    Dependence(
-                        DepType.INIT,
-                        sink_loc=int(s_loc),
-                        sink_tid=int(s_tid),
-                        source_loc=-1,
-                        source_tid=-1,
-                        var=-1,
-                    ),
-                    count=int(c),
-                )
-
-        stats.races_flagged = races_total
-        return ProfileResult(
-            store=store,
-            loops=loops,
-            stats=stats,
-            var_names=batch.var_names,
-            file_names=batch.file_names,
-            multithreaded=batch.n_threads > 1 or cfg.multithreaded_target,
-        )
-
-    # -- helpers ---------------------------------------------------------------
-    def _kill_rows(self, batch: TraceBatch) -> tuple[np.ndarray, np.ndarray]:
-        """Expand FREE events into (stream position, key) kill rows."""
-        free_idx = np.flatnonzero(batch.kind == FREE)
-        if len(free_idx) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        pos_parts: list[np.ndarray] = []
-        key_parts: list[np.ndarray] = []
-        for i in free_idx:
-            base = int(batch.addr[i])
-            size = int(batch.aux[i])
-            if size <= 0:
-                continue
-            addrs = np.arange(base, base + size, ACCESS_GRANULARITY, dtype=np.int64)
-            keys = np.unique(self._keys_for(addrs))
-            pos_parts.append(np.full(len(keys), int(i), dtype=np.int64))
-            key_parts.append(keys)
-        if not pos_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(pos_parts), np.concatenate(key_parts)
-
-    def _emit(
-        self,
-        store: DependenceStore,
-        dep_type: DepType,
-        sink_loc: np.ndarray,
-        sink_tid: np.ndarray,
-        sink_ts: np.ndarray,
-        sink_ctx: np.ndarray,
-        src_loc: np.ndarray,
-        src_tid: np.ndarray,
-        src_var: np.ndarray,
-        src_ts: np.ndarray,
-        loop_index: LoopIndex,
-        ctx_stacks: tuple[tuple[int, ...], ...],
-    ) -> int:
-        """Classify carried loops, dedup, and insert one dep type. Returns race count."""
-        race = src_ts > sink_ts
-        carried_mask = np.zeros(len(sink_loc), dtype=np.int64)
-        # Group by (ctx, tid): each group shares a static loop stack and the
-        # per-(site, tid) timestamp indexes.
-        packed_grp = sink_ctx * (np.max(sink_tid) + 2) + sink_tid
-        for grp in np.unique(packed_grp):
-            rows = np.flatnonzero(packed_grp == grp)
-            c = int(sink_ctx[rows[0]])
-            if c < 0:
-                continue
-            stack = ctx_stacks[c]
-            if len(stack) > _MAX_LOOP_DEPTH:
-                raise ProfilerError(
-                    f"loop nest depth {len(stack)} exceeds supported "
-                    f"{_MAX_LOOP_DEPTH}"
-                )
-            t = int(sink_tid[rows[0]])
-            for level, site in enumerate(stack):
-                hit = loop_index.carried_many(
-                    site, t, src_ts[rows], sink_ts[rows]
-                )
-                if hit.any():
-                    carried_mask[rows[hit]] |= np.int64(1) << level
-        uniq_cols, counts = _unique_rows(
-            [
-                sink_loc,
-                sink_tid,
-                src_loc,
-                src_tid,
-                src_var,
-                sink_ctx,
-                carried_mask,
-                race.astype(np.int64),
-            ]
-        )
-        for row, c in zip(zip(*uniq_cols), counts):
-            s_loc, s_tid, p_loc, p_tid, p_var, ctx_id, mask, is_race = (
-                int(x) for x in row
-            )
-            carried: frozenset[int] = frozenset()
-            if mask and ctx_id >= 0:
-                stack = ctx_stacks[ctx_id]
-                carried = frozenset(
-                    site for lvl, site in enumerate(stack) if mask & (1 << lvl)
-                )
-            store.add_merged(
-                Dependence(
-                    dep_type,
-                    sink_loc=s_loc,
-                    sink_tid=s_tid,
-                    source_loc=p_loc,
-                    source_tid=p_tid,
-                    var=p_var,
-                    carried=carried,
-                    race=bool(is_race),
-                ),
-                count=int(c),
-            )
-        return int(np.count_nonzero(race))
-
-    def _tracker_memory(self, batch: TraceBatch) -> int:
-        if self.config.perfect_signature:
-            # Matches PerfectSignature's accounting: ~88 bytes/entry, two tables.
-            return 2 * batch.n_unique_addresses * 88
-        # ArraySignature planes: int32 loc + int32 var + int32 tid + int64 ts.
-        return 2 * self.config.signature_slots * (4 + 4 + 4 + 8)
+    return prev_of(write_rows), prev_of(read_rows), first_seg
 
 
 class ChunkKernel:
     """Incremental, signature-state-carrying vectorized Algorithm 1.
 
-    The one-shot :class:`VectorizedEngine` needs the whole trace at once; a
-    pipeline worker sees it chunk by chunk.  This kernel keeps the tracker
-    state *between* chunks in a pair of plane trackers
+    A pipeline worker sees the trace chunk by chunk; one-shot profiling
+    (:meth:`run`) hands it the whole trace as a single chunk.  The kernel
+    keeps the tracker state *between* chunks in a pair of plane trackers
     (:mod:`repro.sigmem.planes`) and processes each chunk as array
     operations:
 
     1. gather the chunk's rows from the full batch (global positions kept),
-    2. derive tracking keys (hash slot or dense address index),
-    3. expand FREE events into per-key kill rows,
+    2. derive tracking keys (hash slot, or a dense index over addresses or
+       hash slots),
+    3. expand FREE events into per-key kill rows (the trackers derive the
+       keys a FREE kills),
     4. sort by ``(key, position)``, segment at kills, and compute segmented
        previous-read/previous-write indices,
     5. splice the *planes' carry-in state* into each key's first segment —
@@ -378,7 +118,7 @@ class ChunkKernel:
     It reproduces the reference engine bit for bit — same dependences, same
     instance counts, same race flags, same carried sets — because every one
     of those steps mirrors a reference-engine rule, including the push-order
-    loop-frame semantics the one-shot engine only approximates.
+    loop-frame semantics of delayed pushes (Section V).
 
     The interface matches what :class:`~repro.parallel.worker.Worker` and
     the pipeline expect of an engine: ``store``, ``stats``,
@@ -424,15 +164,33 @@ class ChunkKernel:
         self._batch_id = id(batch)
         return self.loop_index
 
-    def _kill_keys(self, base: int, size: int) -> np.ndarray:
-        """Keys removed by one FREE, in this kernel's key space."""
-        if size <= 0:
-            return np.empty(0, dtype=np.int64)
-        tracker = self.read_tracker
-        if isinstance(tracker, DensePlaneTracker):
-            return tracker.space.probe_keys(base, base + size, ACCESS_GRANULARITY)
-        addrs = np.arange(base, base + size, ACCESS_GRANULARITY, dtype=np.int64)
-        return np.unique(tracker.keys_of(addrs))
+    @classmethod
+    def one_shot(cls, config: ProfilerConfig) -> "ChunkKernel":
+        """A kernel over fresh plane trackers for one whole-trace run.
+
+        Perfect tracking keys the planes by address; an array signature
+        keys them by the signature's hash slots, so the planes grow with
+        the touched slots rather than with ``signature_slots``.
+        """
+        space = (
+            DenseKeySpace()
+            if config.perfect_signature
+            else DenseKeySpace(config.signature_slots, config.hash_salt)
+        )
+        return cls(config, DensePlaneTracker(space), DensePlaneTracker(space))
+
+    def run(self, batch: TraceBatch) -> ProfileResult:
+        """One-shot profiling of a complete trace (one chunk, all rows)."""
+        self.process_rows(batch, np.arange(len(batch), dtype=np.int64))
+        self.stats.n_unique_addresses = batch.n_unique_addresses
+        return ProfileResult(
+            store=self.store,
+            loops=extract_loop_info(batch),
+            stats=self.stats,
+            var_names=batch.var_names,
+            file_names=batch.file_names,
+            multithreaded=batch.n_threads > 1 or self.config.multithreaded_target,
+        )
 
     # -- the chunk hot path ------------------------------------------------
     def process_rows(self, batch: TraceBatch, rows: np.ndarray) -> None:
@@ -471,8 +229,10 @@ class ChunkKernel:
         if len(free_rows):
             kp_parts = [pos]
             kk_parts = [key]
+            kill_keys = self.read_tracker.kill_keys
             for i in free_rows.tolist():
-                keys = self._kill_keys(int(batch.addr[i]), int(batch.aux[i]))
+                base = int(batch.addr[i])
+                keys = kill_keys(base, base + int(batch.aux[i]), ACCESS_GRANULARITY)
                 if len(keys):
                     kp_parts.append(np.full(len(keys), i, dtype=np.int64))
                     kk_parts.append(keys)
@@ -493,6 +253,7 @@ class ChunkKernel:
             self._note_memory()
             return
 
+        del acc_rows  # ``pos`` holds the rows from here on
         order = np.lexsort((pos, key))
         key = key[order]
         cat = cat[order]
@@ -501,97 +262,70 @@ class ChunkKernel:
         var = var[order]
         tid = tid[order]
         ts = ts[order]
+        del order
         n = len(key)
 
         # -- segmentation: new key, or kill boundary within a key ----------
         is_kill = cat == _KILL_CAT
-        kills_before = np.concatenate([[0], np.cumsum(is_kill[:-1], dtype=np.int64)])
         new_key = np.empty(n, dtype=bool)
         new_key[0] = True
         new_key[1:] = key[1:] != key[:-1]
-        seg_boundary = new_key.copy()
-        seg_boundary[1:] |= kills_before[1:] != kills_before[:-1]
-        seg_id = np.cumsum(seg_boundary, dtype=np.int64)
-
-        big = np.int64(n + 2)
-        idx = np.arange(n, dtype=np.int64)
-
-        def prev_of(candidate_mask: np.ndarray) -> np.ndarray:
-            cand = np.where(candidate_mask, idx, np.int64(-1)) + seg_id * big
-            run = np.maximum.accumulate(cand)
-            prev = np.empty(n, dtype=np.int64)
-            prev[0] = -1
-            prev[1:] = run[:-1] - seg_id[1:] * big
-            prev[prev < 0] = -1
-            return prev
-
-        read_rows = cat == _READ_CAT
-        write_rows = cat == _WRITE_CAT
-        prev_w = prev_of(write_rows)
-        prev_r = prev_of(read_rows)
-
-        # -- carry-in: planes act as the virtual row before each key's
-        # first (pre-kill) segment ----------------------------------------
         starts = np.flatnonzero(new_key)
         grp = np.cumsum(new_key, dtype=np.int64) - 1
-        first_seg = kills_before == kills_before[starts][grp]
+        idx = np.arange(n, dtype=np.int64)
+        read_rows = cat == _READ_CAT
+        write_rows = cat == _WRITE_CAT
+        prev_w, prev_r, first_seg = _segment_prev(
+            is_kill, new_key, starts, grp, idx, write_rows, read_rows
+        )
 
-        rp, rp_loc, rp_var, rp_tid, rp_ts = self.read_tracker.gather(key)
-        wp, wp_loc, wp_var, wp_tid, wp_ts = self.write_tracker.gather(key)
+        # -- carry-in: the planes act as the virtual row before each key's
+        # first (pre-kill) segment; gathered once per key, not per row ----
+        ukey = key[starts]
+        carry_r = self.read_tracker.gather(ukey)
+        carry_w = self.write_tracker.gather(ukey)
+        has_w = (prev_w >= 0) | (first_seg & carry_w[0][grp])
+        has_r = (prev_r >= 0) | (first_seg & carry_r[0][grp])
 
-        has_w = (prev_w >= 0) | (first_seg & wp)
-        has_r = (prev_r >= 0) | (first_seg & rp)
-        safe_w = np.maximum(prev_w, 0)
-        safe_r = np.maximum(prev_r, 0)
-        in_w = prev_w >= 0
-        in_r = prev_r >= 0
-        src_w_loc = np.where(in_w, loc[safe_w], wp_loc)
-        src_w_var = np.where(in_w, var[safe_w], wp_var)
-        src_w_tid = np.where(in_w, tid[safe_w], wp_tid)
-        src_w_ts = np.where(in_w, ts[safe_w], wp_ts)
-        src_r_loc = np.where(in_r, loc[safe_r], rp_loc)
-        src_r_var = np.where(in_r, var[safe_r], rp_var)
-        src_r_tid = np.where(in_r, tid[safe_r], rp_tid)
-        src_r_ts = np.where(in_r, ts[safe_r], rp_ts)
+        def sources(sel, prev, carry):
+            """``(loc, var, tid, ts)`` of each selected row's source: the
+            previous in-chunk access, else the key's carried-in record."""
+            p = prev[sel]
+            inside = p >= 0
+            p[~inside] = 0
+            g = grp[sel]
+            return [
+                np.where(inside, col[p], plane[g])
+                for col, plane in zip((loc, var, tid, ts), carry[1:])
+            ]
 
         # -- Algorithm 1 branch table --------------------------------------
-        raw_mask = read_rows & has_w
         init_mask = write_rows & ~has_w
         waw_mask = write_rows & has_w
-        war_mask = waw_mask & has_r
-
-        loop_index = self._loop_index_for(batch)
         emit_plan = [
-            (DepType.RAW, raw_mask, src_w_loc, src_w_var, src_w_tid, src_w_ts),
-            (DepType.WAR, war_mask, src_r_loc, src_r_var, src_r_tid, src_r_ts),
-            (DepType.WAW, waw_mask, src_w_loc, src_w_var, src_w_tid, src_w_ts),
+            (DepType.RAW, read_rows & has_w, prev_w, carry_w),
+            (DepType.WAR, waw_mask & has_r, prev_r, carry_r),
+            (DepType.WAW, waw_mask, prev_w, carry_w),
         ]
         if not cfg.ignore_rar:
-            emit_plan.append(
-                (
-                    DepType.RAR,
-                    read_rows & has_r,
-                    src_r_loc,
-                    src_r_var,
-                    src_r_tid,
-                    src_r_ts,
-                )
-            )
-        for dep_type, mask, s_loc, s_var, s_tid, s_ts in emit_plan:
+            emit_plan.append((DepType.RAR, read_rows & has_r, prev_r, carry_r))
+        loop_index = self._loop_index_for(batch)
+        for dep_type, mask, prev, carry in emit_plan:
             sel = np.flatnonzero(mask)
             stats.dep_instances[dep_type] += len(sel)
             if len(sel) == 0:
                 continue
+            s_loc, s_var, s_tid, s_ts = sources(sel, prev, carry)
             self._emit(
                 dep_type,
                 sink_loc=loc[sel],
                 sink_tid=tid[sel],
                 sink_pos=pos[sel],
                 sink_ts=ts[sel],
-                src_loc=s_loc[sel],
-                src_tid=s_tid[sel],
-                src_var=s_var[sel],
-                src_ts=s_ts[sel],
+                src_loc=s_loc,
+                src_tid=s_tid,
+                src_var=s_var,
+                src_ts=s_ts,
                 loop_index=loop_index,
             )
 
@@ -616,22 +350,15 @@ class ChunkKernel:
         # The surviving record per key is the last read/write *after the
         # key's last kill* (a kill row itself belongs to the preceding
         # segment, so segment-local maxima would wrongly resurrect a freed
-        # record when a group ends with its kill).  Run the cummax over
+        # record when a group ends with its kill).  Take the maxima over
         # whole key groups and invalidate anything at or before the last
         # kill.
-        ends = np.append(starts[1:], n) - 1
-        run_r = np.maximum.accumulate(
-            np.where(read_rows, idx, np.int64(-1)) + grp * big
-        )
-        run_w = np.maximum.accumulate(
-            np.where(write_rows, idx, np.int64(-1)) + grp * big
-        )
-        run_k = np.maximum.accumulate(
-            np.where(is_kill, idx, np.int64(-1)) + grp * big
-        )
-        last_kill = run_k[ends] - grp[ends] * big
-        last_r = run_r[ends] - grp[ends] * big
-        last_w = run_w[ends] - grp[ends] * big
+        def group_last(mask: np.ndarray) -> np.ndarray:
+            return np.maximum.reduceat(np.where(mask, idx, -1), starts)
+
+        last_kill = group_last(is_kill)
+        last_r = group_last(read_rows)
+        last_w = group_last(write_rows)
         last_r = np.where(last_r > last_kill, last_r, np.int64(-1))
         last_w = np.where(last_w > last_kill, last_w, np.int64(-1))
         group_killed = last_kill >= 0
@@ -675,12 +402,14 @@ class ChunkKernel:
         depth = loop_index.depth
         cols = [sink_loc, sink_tid, src_loc, src_tid, src_var, race.astype(np.int64)]
         if depth:
-            carried = np.full((len(sink_loc), depth), -1, dtype=np.int64)
-            for t in np.unique(sink_tid):
-                m = sink_tid == t
-                carried[m] = loop_index.carried_sites(
-                    int(t), sink_pos[m], src_ts[m]
-                )
+            tids = np.unique(sink_tid).tolist()
+            if len(tids) == 1:
+                carried = loop_index.carried_sites(tids[0], sink_pos, src_ts)
+            else:
+                carried = np.empty((len(sink_loc), depth), dtype=np.int64)
+                for t in tids:
+                    m = sink_tid == t
+                    carried[m] = loop_index.carried_sites(t, sink_pos[m], src_ts[m])
             cols.extend(carried[:, lvl] for lvl in range(depth))
         uniq, counts = _unique_rows(cols)
         store = self.store

@@ -15,9 +15,18 @@ Two key spaces mirror the two scalar trackers:
   semantics), so a vectorized worker with ``n`` slots is bit-for-bit
   equivalent to a reference worker with an ``ArraySignature`` of ``n`` slots.
 * :class:`DensePlaneTracker` — keys are dense indices handed out by a
-  :class:`DenseKeySpace` (one per worker, shared by the worker's read and
-  write planes so both sides agree on every key), equivalent to the
-  collision-free :class:`~repro.sigmem.PerfectSignature`.
+  :class:`DenseKeySpace` (one per kernel, shared by its read and write
+  planes so both sides agree on every key).  Over raw addresses it is
+  equivalent to the collision-free :class:`~repro.sigmem.PerfectSignature`;
+  over a *hashed* key space (addresses first mapped to ``n_slots`` hash
+  slots) it is equivalent to an ``ArraySignature`` of ``n_slots`` slots
+  while its planes grow only with the slots actually touched — which is
+  how one-shot profiling affords the paper's "sufficiently large" Table II
+  signatures.
+
+Every tracker derives the keys a FREE kills (:meth:`kill_keys`) itself and
+reuses that derivation in ``remove_range``, so the kernel never needs to
+know which key space it runs over.
 
 Both implement the full :class:`~repro.sigmem.AccessTracker` protocol, so
 signature migration during load balancing and the sampler's occupancy/fill
@@ -220,11 +229,14 @@ class SlotPlaneTracker(AccessTracker):
     def remove(self, addr: int) -> None:
         self._store.drop(self.key_of(addr))
 
-    def remove_range(self, lo: int, hi: int, stride: int = 8) -> None:
+    def kill_keys(self, lo: int, hi: int, stride: int = 8) -> np.ndarray:
+        """Unique slots of every stride-aligned address in ``[lo, hi)``."""
         if hi <= lo:
-            return
-        addrs = np.arange(lo, hi, stride, dtype=np.int64)
-        self._store.clear_keys(np.unique(self.keys_of(addrs)))
+            return np.empty(0, dtype=np.int64)
+        return np.unique(self.keys_of(np.arange(lo, hi, stride, dtype=np.int64)))
+
+    def remove_range(self, lo: int, hi: int, stride: int = 8) -> None:
+        self._store.clear_keys(self.kill_keys(lo, hi, stride))
 
     def clear(self) -> None:
         self._store.wipe()
@@ -314,34 +326,53 @@ class SlotPlaneTracker(AccessTracker):
 
 
 class DenseKeySpace:
-    """Address -> dense-key mapping shared by one worker's plane pair.
+    """Tracking-id -> dense-key mapping shared by one kernel's plane pair.
 
-    Keys are handed out on first sight and never recycled: a freed address
-    keeps its key so later reuse of the address maps to the same plane row
-    (whose presence bit the kill cleared) — matching dict-of-address
-    semantics without per-event dict churn in the kernel.
+    The tracking id is the address itself, or — with ``n_slots`` — the
+    address's array-signature hash slot (same hash and salt as
+    :class:`~repro.sigmem.ArraySignature`), so colliding addresses share a
+    key exactly as they share a slot.  Keys are handed out on first sight
+    and never recycled: a freed id keeps its key so later reuse maps to the
+    same plane row (whose presence bit the kill cleared) — matching
+    dict-of-address semantics without per-event dict churn in the kernel.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, n_slots: int | None = None, salt: int = 0) -> None:
+        if n_slots is not None and n_slots <= 0:
+            raise ValueError("n_slots must be positive")
+        self.n_slots = n_slots
+        self.salt = int(salt)
         self._index: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._index)
 
+    def _id(self, addr: int) -> int:
+        if self.n_slots is None:
+            return addr
+        return hash_address(addr, self.n_slots, self.salt)
+
     def get(self, addr: int) -> int | None:
-        return self._index.get(addr)
+        return self._index.get(self._id(addr))
 
     def key_for(self, addr: int) -> int:
-        k = self._index.get(addr)
+        index = self._index
+        i = self._id(addr)
+        k = index.get(i)
         if k is None:
-            k = len(self._index)
-            self._index[addr] = k
+            k = index[i] = len(index)
         return k
 
     def keys_for(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`key_for`: one dict probe per *unique* address."""
+        """Vectorized :meth:`key_for`: one dict probe per *unique* id."""
+        if self.n_slots is not None:
+            addrs = hash_addresses(addrs, self.n_slots, self.salt)
         uniq, inv = np.unique(addrs, return_inverse=True)
         index = self._index
+        if not index:
+            # First sight of everything: keys are the sorted-unique ranks.
+            index.update(zip(uniq.tolist(), range(len(uniq))))
+            return inv.astype(np.int64, copy=False)
         keys = np.empty(len(uniq), dtype=np.int64)
         for j, a in enumerate(uniq.tolist()):
             k = index.get(a)
@@ -352,17 +383,22 @@ class DenseKeySpace:
         return keys[inv]
 
     def probe_keys(self, lo: int, hi: int, stride: int) -> np.ndarray:
-        """Keys of known stride-aligned addresses in ``[lo, hi)``.
+        """Known keys of the stride-aligned addresses in ``[lo, hi)``.
 
-        Mirrors ``PerfectSignature.remove_range``: probe the range when it is
-        small, scan the index when the range dwarfs it — either way only
-        addresses aligned to ``lo`` modulo ``stride`` are affected.
+        Mirrors ``remove_range`` of the matching scalar tracker.  Hashed:
+        the unique slots of the range (``ArraySignature``).  Raw addresses
+        (``PerfectSignature``): probe the range when it is small, scan the
+        index when the range dwarfs it — either way only addresses aligned
+        to ``lo`` modulo ``stride`` are affected.
         """
         if hi <= lo:
             return np.empty(0, dtype=np.int64)
         index = self._index
-        n_range = -(-(hi - lo) // stride)
-        if n_range <= len(index):
+        if self.n_slots is not None:
+            addrs = np.arange(lo, hi, stride, dtype=np.int64)
+            ids = np.unique(hash_addresses(addrs, self.n_slots, self.salt)).tolist()
+            keys = [k for i in ids if (k := index.get(i)) is not None]
+        elif -(-(hi - lo) // stride) <= len(index):
             keys = [
                 k
                 for addr in range(lo, hi, stride)
@@ -378,16 +414,19 @@ class DenseKeySpace:
 
 
 class DensePlaneTracker(AccessTracker):
-    """Collision-free tracking as numpy planes (key = dense address index).
+    """Tracking as numpy planes over a :class:`DenseKeySpace`.
 
-    Equivalent to :class:`~repro.sigmem.PerfectSignature`; memory accounting
-    follows the same ~88-bytes-per-live-entry model so cost/memory reports
-    stay comparable across worker engines.
+    Over raw addresses it is equivalent to
+    :class:`~repro.sigmem.PerfectSignature`, and memory accounting follows
+    the same ~88-bytes-per-live-entry model.  Over a hashed key space it is
+    equivalent to :class:`~repro.sigmem.ArraySignature` and reports the
+    same committed ``n_slots * SLOT_BYTES`` footprint, although only
+    touched slots are resident.
 
     Dense keys have no bank structure, so a ``geometry`` enables the
     *generic* record-format bank protocol from the base class: exports are
     exact per-address payloads recovered through the key space's inverse
-    map, imports re-insert newest-wins.
+    map, imports re-insert newest-wins (raw-address key spaces only).
     """
 
     def __init__(
@@ -434,8 +473,12 @@ class DensePlaneTracker(AccessTracker):
         if key is not None and key < len(self._store._present):
             self._store.drop(key)
 
+    def kill_keys(self, lo: int, hi: int, stride: int = 8) -> np.ndarray:
+        """Known keys removed by freeing ``[lo, hi)``."""
+        return self.space.probe_keys(lo, hi, stride)
+
     def remove_range(self, lo: int, hi: int, stride: int = 8) -> None:
-        keys = self.space.probe_keys(lo, hi, stride)
+        keys = self.kill_keys(lo, hi, stride)
         if len(keys):
             self._store.grow_to(len(self.space))
             self._store.clear_keys(keys)
@@ -446,9 +489,12 @@ class DensePlaneTracker(AccessTracker):
     def occupied(self) -> int:
         return self._store._filled
 
-    def occupied_addrs(self) -> np.ndarray:
+    def occupied_addrs(self) -> np.ndarray | None:
         """Owner addresses of the live entries, recovered from the key
-        space (keys never recycle, so the inverse map is exact)."""
+        space (keys never recycle, so the inverse map is exact).  ``None``
+        over a hashed key space, whose ids are slots, not owners."""
+        if self.space.n_slots is not None:
+            return None
         present = self._store._present
         n = len(present)
         addrs = [
@@ -458,4 +504,6 @@ class DensePlaneTracker(AccessTracker):
 
     @property
     def memory_bytes(self) -> int:
+        if self.space.n_slots is not None:
+            return self.space.n_slots * SLOT_BYTES
         return 64 + self._store._filled * 88

@@ -3,7 +3,9 @@
 Random event streams (reads/writes/frees/loops over a small address pool so
 collisions and revisits are frequent) must produce byte-identical dependence
 stores, instance counts, and race counts under both engines, for both
-perfect and signature tracking.
+perfect and signature tracking — with accesses pushed in program order, and
+with *delayed* pushes (Section V), where an access row lands after later
+loop events of its thread while keeping its access timestamp.
 """
 
 import pytest
@@ -15,8 +17,12 @@ from tests.trace_helpers import seq_trace
 
 
 @st.composite
-def random_ops(draw):
-    """A well-formed op list mixing accesses, frees, loops, and threads."""
+def random_ops(draw, delayed=False):
+    """A well-formed op list mixing accesses, frees, loops, and threads.
+
+    ``delayed`` adds delayed accesses and the pushes that flush them, so
+    rows arrive out of timestamp order and after later loop events.
+    """
     n = draw(st.integers(min_value=0, max_value=120))
     ops = []
     open_loops: dict[int, list[int]] = {}  # per tid loop stacks
@@ -32,12 +38,14 @@ def random_ops(draw):
     for _ in range(n):
         stack = open_loops.setdefault(tid, [])
         choices = ["r", "w", "free", "tid"]
+        if delayed:
+            choices += ["rd", "wd", "push"]
         if stack:
             choices += ["Li", "L-"]
         if len(stack) < len(loop_sites):
             choices.append("L+")
         op = draw(st.sampled_from(choices))
-        if op == "r" or op == "w":
+        if op in ("r", "w", "rd", "wd"):
             # accesses inside a loop body require an iteration to have begun
             if stack and not draw(st.booleans()):
                 ops.append(("Li", stack[-1]))
@@ -57,6 +65,8 @@ def random_ops(draw):
             ops.append(("Li", stack[-1]))
         elif op == "L-":
             ops.append(("L-", stack.pop()))
+        elif op == "push":
+            ops.append(("push",))
         elif op == "tid":
             tid = draw(st.integers(0, 2))
             ops.append(("tid", tid))
@@ -77,10 +87,7 @@ CONFIGS = [
 CONFIG_IDS = ["perfect", "sig-64k", "sig-7", "no-lifetime"]
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
-@settings(max_examples=60, deadline=None)
-@given(ops=random_ops())
-def test_engines_equivalent(config, ops):
+def assert_engines_agree(config, ops):
     batch = seq_trace(ops)
     ref = DependenceProfiler(config, "reference").profile(batch)
     vec = DependenceProfiler(config, "vectorized").profile(batch)
@@ -89,6 +96,20 @@ def test_engines_equivalent(config, ops):
     assert ref.stats.dep_instances == vec.stats.dep_instances
     assert ref.stats.races_flagged == vec.stats.races_flagged
     assert ref.stats.n_accesses == vec.stats.n_accesses
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+@settings(max_examples=60, deadline=None)
+@given(ops=random_ops())
+def test_engines_equivalent(config, ops):
+    assert_engines_agree(config, ops)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+@settings(max_examples=60, deadline=None)
+@given(ops=random_ops(delayed=True))
+def test_engines_equivalent_delayed_pushes(config, ops):
+    assert_engines_agree(config, ops)
 
 
 @settings(max_examples=25, deadline=None)

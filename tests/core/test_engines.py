@@ -284,6 +284,15 @@ class TestSignatureMode:
         res = profile_trace(batch, ProfilerConfig(signature_slots=1), engine)
         assert deps_of(res, DepType.RAW) == {(loc(2), loc(1), 0)}
 
+    def test_reported_memory_is_the_committed_slot_footprint(self, engine):
+        """Both signatures report 2 x slots x SLOT_BYTES, although one-shot
+        vectorized planes hold rows only for the touched slots."""
+        from repro.sigmem.signature import SLOT_BYTES
+
+        batch = seq_trace([("w", 0x100, 1, "a"), ("r", 0x100, 2, "a")])
+        res = profile_trace(batch, ProfilerConfig(signature_slots=1 << 20), engine)
+        assert res.stats.tracker_memory_bytes == 2 * (1 << 20) * SLOT_BYTES
+
     def test_empty_trace(self, engine):
         from repro.trace import TraceBuilder
 
@@ -298,3 +307,49 @@ def test_unknown_engine_rejected():
 
     with pytest.raises(ProfilerError):
         DependenceProfiler(engine="quantum")
+
+
+def nest_ops(depth):
+    """``depth`` nested loops with a read-then-write of ``s`` innermost.
+
+    The outermost loop iterates twice, every inner loop once, so the second
+    read sees the first write across an outermost iteration: carried at the
+    outermost level only.
+    """
+    body = [("r", 0x100, 10, "s"), ("w", 0x100, 11, "s")]
+    for d in reversed(range(1, depth)):
+        site = 1000 + d
+        body = [("L+", site), ("Li", site)] + body + [("L-", site)]
+    outer = [("L+", 1000)]
+    for _ in range(2):
+        outer += [("Li", 1000)] + body
+    return outer + [("L-", 1000)]
+
+
+class TestLoopDepthLimit:
+    """One limit for every vectorized path: ``MAX_SNAPSHOT_DEPTH``."""
+
+    def test_limit_is_the_snapshot_depth(self):
+        from repro.core.controlflow import MAX_SNAPSHOT_DEPTH
+
+        assert MAX_SNAPSHOT_DEPTH == 63
+
+    def test_deep_nest_within_limit_matches_reference(self):
+        batch = seq_trace(nest_ops(40))
+        vec = profile_trace(batch, PERFECT, "vectorized")
+        ref = profile_trace(batch, PERFECT, "reference")
+        assert vec.store == ref.store
+        assert vec.store.instances == ref.store.instances
+        assert vec.stats.dep_instances == ref.stats.dep_instances
+        (raw,) = [d for d in vec.store if d.dep_type == DepType.RAW]
+        assert raw.carried == frozenset({loc(1000)})
+
+    def test_nest_beyond_limit_rejected_one_shot_and_pipeline(self):
+        from repro.common.errors import ProfilerError
+        from repro.parallel import ParallelProfiler
+
+        batch = seq_trace(nest_ops(64))
+        with pytest.raises(ProfilerError, match="loop nest depth 64"):
+            profile_trace(batch, PERFECT, "vectorized")
+        with pytest.raises(ProfilerError, match="loop nest depth 64"):
+            ParallelProfiler(PERFECT.with_(workers=2)).profile(batch)

@@ -10,6 +10,15 @@
     ("Li", line)                 loop iteration start
     ("L-", line)                 loop exit
     ("tid", t)                   switch current thread for subsequent ops
+    ("rd", addr, line)           *delayed* read: takes its timestamp and loop
+    ("wd", addr, line)           context now, is pushed at the next ("push",)
+                                 of its thread (var optional 4th field)
+    ("push",)                    push the current thread's delayed accesses
+
+Delayed accesses model the multithreaded push semantics of Section V: the
+row lands in the trace after later events of the same thread (loop events
+included), carrying its original access timestamp.  Any still pending at the
+end are pushed before the trace is built.
 
 Lines are encoded with file id 0, so ``loc == line`` for readability in
 assertions (line < 2**20).
@@ -25,6 +34,12 @@ def seq_trace(ops, file_name: str = "test.c") -> TraceBatch:
     r = TraceRecorder()
     r.intern_file(file_name)
     tid = 0
+    pending: dict[int, list] = {}  # tid -> delayed (push, kwargs) pairs
+
+    def push(t: int) -> None:
+        for emit, kwargs in pending.pop(t, []):
+            emit(**kwargs)
+
     for op in ops:
         code = op[0]
         if code == "r":
@@ -50,8 +65,29 @@ def seq_trace(ops, file_name: str = "test.c") -> TraceBatch:
             r.loop_exit(encode_location(0, op[1]), tid=tid, end_loc=end)
         elif code == "tid":
             tid = op[1]
+        elif code in ("rd", "wd"):
+            _, addr, line = op[:3]
+            var = r.intern_var(op[3]) if len(op) > 3 else -1
+            emit = r.read if code == "rd" else r.write
+            pending.setdefault(tid, []).append(
+                (
+                    emit,
+                    dict(
+                        addr=addr,
+                        loc=encode_location(0, line),
+                        var=var,
+                        tid=tid,
+                        ts=r.next_ts(),
+                        ctx=r.current_ctx(tid),
+                    ),
+                )
+            )
+        elif code == "push":
+            push(tid)
         else:
             raise ValueError(f"unknown op {op!r}")
+    for t in list(pending):
+        push(t)
     return r.build()
 
 
