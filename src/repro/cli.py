@@ -33,6 +33,7 @@ import argparse
 import sys
 
 from repro.common.config import ProfilerConfig
+from repro.common.errors import ObsError, ReproError
 from repro.core import format_dependences, profile_trace
 from repro.minivm import ScheduleConfig, run_program
 from repro.obs import JsonlSink, MetricsRegistry, RunReport, Tracer, write_chrome_trace
@@ -67,7 +68,7 @@ def _profiler_args(p: argparse.ArgumentParser) -> None:
         "--provenance run)",
     )
     p.add_argument(
-        "--mode", choices=["deterministic", "threads", "processes"],
+        "--mode", choices=["deterministic", "processes"],
         default=None,
         help="pipeline execution mode; giving it routes the run through the "
         "parallel pipeline ('processes' = real multi-core over a "
@@ -319,7 +320,10 @@ def _report_from(
     )
     ledger = getattr(args, "_ledger", None)
     if ledger is not None:
-        path = ledger.finalize(reg, report, result=result, info=info)
+        try:
+            path = ledger.finalize(reg, report, result=result, info=info)
+        except OSError as exc:
+            raise ObsError(f"cannot write run bundle {ledger.path}: {exc}") from exc
         reg.log.info("ledger.write", path=str(path))
     reg.log.info("run.finish", phases=len(report.phases))
     plane = getattr(args, "_plane", None)
@@ -790,18 +794,13 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 
     bench_dir = Path(args.benchmarks_dir)
     if not bench_dir.is_dir():
-        print(f"benchmarks directory not found: {bench_dir}", file=sys.stderr)
-        return 2
+        raise ObsError(f"benchmarks directory not found: {bench_dir}")
     suites = list(args.suite) if args.suite else (
         list(FAST_SUITES) if args.fast else sorted(BENCH_SUITES)
     )
     unknown = [s for s in suites if s not in BENCH_SUITES]
     if unknown:
-        print(
-            f"unknown suite(s) {unknown}; known: {sorted(BENCH_SUITES)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ObsError(f"unknown suite(s) {unknown}; known: {sorted(BENCH_SUITES)}")
     files = [str(bench_dir / m) for s in suites for m in BENCH_SUITES[s]]
     out_dir = Path(args.out_dir).resolve()
     env = dict(os.environ)
@@ -960,15 +959,9 @@ def cmd_runs_list(args: argparse.Namespace) -> int:
 def cmd_runs_show(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.common.errors import ObsError
     from repro.obs import bundle_summary, load_bundle, resolve_bundle
 
-    root = _ledger_root(args)
-    try:
-        doc = load_bundle(resolve_bundle(root, args.run))
-    except ObsError as exc:
-        print(f"ddprof runs show: {exc}", file=sys.stderr)
-        return 2
+    doc = load_bundle(resolve_bundle(_ledger_root(args), args.run))
     if args.json:
         print(_json.dumps(doc, indent=2))
     else:
@@ -981,16 +974,11 @@ def cmd_runs_diff(args: argparse.Namespace) -> int:
     movement is reported but does not gate), 1 = regression (a loop verdict
     flipped toward less parallelism — plus added edges / coverage drops /
     new suspect FPs under --strict), 2 = operand error."""
-    from repro.common.errors import ObsError
     from repro.obs import diff_bundles, load_bundle, resolve_bundle
 
     root = _ledger_root(args)
-    try:
-        a = load_bundle(resolve_bundle(root, args.run_a))
-        b = load_bundle(resolve_bundle(root, args.run_b))
-    except ObsError as exc:
-        print(f"ddprof runs diff: {exc}", file=sys.stderr)
-        return 2
+    a = load_bundle(resolve_bundle(root, args.run_a))
+    b = load_bundle(resolve_bundle(root, args.run_b))
     diff = diff_bundles(
         a,
         b,
@@ -1020,6 +1008,16 @@ def cmd_runs_gc(args: argparse.Namespace) -> int:
     for rid in removed:
         print(f"  - {rid}")
     return 0
+
+
+def _one_line(exc: BaseException) -> str:
+    """The error message on one line.  A multi-line message (a worker
+    process's traceback) keeps its first line and its final line, which
+    names the exception that ended it."""
+    lines = [ln.strip() for ln in str(exc).splitlines() if ln.strip()]
+    if not lines:
+        return type(exc).__name__
+    return lines[0] if len(lines) == 1 else f"{lines[0]} {lines[-1]}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1218,7 +1216,10 @@ def main(argv: list[str] | None = None) -> int:
     except BaseException as exc:
         # Crash-finally ledger contract: whatever killed the run, an
         # unfinalized ledger still commits a valid (never torn) bundle
-        # recording the crash, then the original error propagates.
+        # recording the crash.  Then a library error (bad workload name,
+        # invalid config, unwritable ledger, ...) becomes one stderr line
+        # and exit code 2 — never confused with a finding's exit 1 — while
+        # anything else is a bug and propagates with its traceback.
         import contextlib
 
         ledger = getattr(args, "_ledger", None)
@@ -1234,6 +1235,9 @@ def main(argv: list[str] | None = None) -> int:
         if plane is not None:
             with contextlib.suppress(Exception):
                 plane.stop()
+        if isinstance(exc, ReproError):
+            print(f"ddprof: error: {_one_line(exc)}", file=sys.stderr)
+            return 2
         raise
 
 

@@ -118,12 +118,11 @@ class Scheduler:
 
     def _defer(self, ev: tuple) -> None:
         ts = self.recorder.next_ts()
-        ctx = self.recorder.current_ctx(ev[4])
         flush_at = self._step + int(
             self._rng.integers(self.cfg.delay_min_steps, self.cfg.delay_max_steps + 1)
         )
         heapq.heappush(
-            self._pending, (flush_at, self._pending_seq, ev + (ts, ctx))
+            self._pending, (flush_at, self._pending_seq, ev + (ts,))
         )
         self._pending_seq += 1
 
@@ -132,11 +131,11 @@ class Scheduler:
             everything or self._pending[0][0] <= self._step
         ):
             _, _, ev = heapq.heappop(self._pending)
-            kind, addr, loc, var, tid, ts, ctx = ev
+            kind, addr, loc, var, tid, ts = ev
             if kind == "r":
-                self.recorder.read(addr, loc, var, tid, ts=ts, ctx=ctx)
+                self.recorder.read(addr, loc, var, tid, ts=ts)
             else:
-                self.recorder.write(addr, loc, var, tid, ts=ts, ctx=ctx)
+                self.recorder.write(addr, loc, var, tid, ts=ts)
 
     def emit_alloc(self, tid: int, addr: int, size: int, loc: int, var: int) -> None:
         self.recorder.alloc(addr, size, loc, var, tid)

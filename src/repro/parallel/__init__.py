@@ -4,7 +4,7 @@ The main thread plays the *producer*: it walks the instrumented event
 stream, assigns each memory access to the worker that owns its address
 (``worker = addr % W``, overridden by the load balancer's redistribution
 table), buffers assignments in fixed-size *chunks*, and pushes full chunks
-onto per-worker queues.  Worker threads *consume* chunks, run Algorithm 1
+onto per-worker queues.  Workers *consume* chunks, run Algorithm 1
 against their private signature pair, and merge dependences into private
 stores; a final cheap merge folds the duplicate-free local maps together.
 
@@ -18,7 +18,7 @@ Pieces:
   top-ten redistribution policy (Section IV-A),
 * :class:`Worker` — chunk consumer wrapping an incremental reference engine,
 * :class:`ParallelProfiler` — the pipeline, in deterministic in-process mode
-  or with real ``threading.Thread`` workers.
+  or with ``multiprocessing`` workers over a shared-memory trace.
 """
 
 from repro.parallel.queues import LockedQueue, SpscRingQueue

@@ -11,6 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sigmem.banks import BankGeometry
+from repro.trace.events import FREE, LOOP_EXIT, WRITE
+
+
+def route_masks(kind_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(access, broadcast)`` row masks of one trace window.
+
+    READ/WRITE rows go to the worker owning their address; FREE rows
+    (lifetime analysis) and loop markers (carried-dependence
+    classification) go to every worker.  Call it per window, never on a
+    whole trace column: a spilled batch may be larger than RAM.
+    """
+    # Both sets are contiguous kind codes (READ..WRITE, FREE..LOOP_EXIT),
+    # so each mask is a range test rather than a chain of equalities.
+    kind_w = np.asarray(kind_w)
+    return kind_w <= WRITE, (kind_w >= FREE) & (kind_w <= LOOP_EXIT)
 
 
 class AddressMap:

@@ -10,16 +10,12 @@ incremental Algorithm 1 engine on private trackers; local stores are merged
 at the end ("this step incurs only minor overhead since the local maps are
 free of duplicates").
 
-Three execution modes:
+Two execution modes:
 
-* ``deterministic`` — single-process: the producer inline-drains queues when
-  they fill and drains everything at the end.  Fully reproducible; used by
-  tests and as the cost model's source of pipeline statistics.
-* ``threads`` — real ``threading.Thread`` workers pulling from the lock-free
-  rings.  Architecturally faithful (and correct under the GIL); Python
-  threads cannot show the paper's wall-clock speedup, which is why speedups
-  are *estimated* by :mod:`repro.costmodel` from this pipeline's measured
-  statistics.
+* ``deterministic`` — in-process: the producer drains a worker's queue
+  inline whenever it fills and drains everything at the end.  Fully
+  reproducible; used by tests and as the cost model's source of pipeline
+  statistics (the speedups are *estimated* by :mod:`repro.costmodel`).
 * ``processes`` — real ``multiprocessing`` workers with private signatures,
   reading the trace zero-copy out of one shared-memory block
   (:mod:`repro.trace.shm`); only window index ranges cross the task queues
@@ -33,9 +29,8 @@ Telemetry: the run is instrumented through one
 :class:`~repro.obs.metrics.MetricsRegistry` — stall counters live *inside*
 the queues, rebalance counters inside the :class:`Rebalancer`, per-chunk
 latencies inside the workers, and a :class:`~repro.obs.sampler.Sampler`
-periodically scrapes queue occupancy / signature fill / chunk-pool gauges
-(inline per producer window in deterministic mode, from a daemon thread in
-``threads`` mode).  :class:`ParallelRunInfo` and the aggregate
+scrapes queue occupancy / signature fill / chunk-pool gauges once per
+producer window.  :class:`ParallelRunInfo` and the aggregate
 :class:`~repro.core.result.ProfileStats` are derived *views* of that
 registry rather than independently maintained bookkeeping.  Pass a
 registry with a sink to capture the event stream; the default private
@@ -46,7 +41,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -62,7 +56,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.sampler import Sampler
 from repro.obs.tracing import MAIN_TRACK, worker_track
-from repro.parallel.address_map import AddressMap
+from repro.parallel.address_map import AddressMap, route_masks
 from repro.parallel.balance import AccessStats, Rebalancer
 from repro.parallel.chunks import Chunk, ChunkPool
 from repro.parallel.heartbeat import (
@@ -73,10 +67,10 @@ from repro.parallel.heartbeat import (
 from repro.parallel.procworker import run_worker
 from repro.parallel.queues import LockedQueue, SpscRingQueue
 from repro.parallel.worker import Worker
-from repro.trace import FREE, LOOP_ENTER, LOOP_EXIT, LOOP_ITER, READ, WRITE, TraceBatch
+from repro.trace import TraceBatch
 from repro.trace.shm import share_batch
 
-MODES = ("deterministic", "threads", "processes")
+MODES = ("deterministic", "processes")
 
 
 @dataclass
@@ -266,7 +260,6 @@ class ParallelProfiler:
         rebalancer = Rebalancer(amap, cfg.hot_addresses, registry=reg)
         chunk_log: list[tuple[int, int]] = []
         chunk_counter = reg.counter("pipeline.chunks")
-        busy = [False] * cfg.workers
 
         # -- periodic telemetry sampling --------------------------------
         sampler = Sampler(reg)
@@ -288,51 +281,6 @@ class ParallelProfiler:
         sampler.add("chunkpool.memory_bytes", lambda: pool.memory_bytes)
         sampler.add("process.peak_rss_bytes", peak_rss_bytes)
 
-        threads: list[threading.Thread] = []
-        worker_errors: list[BaseException] = []
-        if self.mode == "threads":
-
-            def consume(w: int) -> None:
-                track = worker_track(w)
-                stall_t0 = -1.0  # perf_counter at the start of an empty streak
-                while True:
-                    # busy is raised BEFORE the pop: once quiesce() observes
-                    # this queue empty, either the pop never happened or busy
-                    # is still up — it can never miss an in-flight chunk.
-                    busy[w] = True
-                    ok, chunk = queues[w].try_pop()
-                    if ok:
-                        if stall_t0 >= 0.0:
-                            if tracer.enabled:
-                                tracer.complete("queue.pop_stall", track, stall_t0)
-                            stall_t0 = -1.0
-                        # After any worker fails, the rest of the stream is
-                        # drained unprocessed so the producer's push loop can
-                        # never spin forever on a full queue.
-                        if not worker_errors:
-                            try:
-                                workers[w].process_chunk(batch, chunk)
-                            except BaseException as exc:  # noqa: BLE001
-                                worker_errors.append(exc)
-                        busy[w] = False
-                        pool.release(chunk)
-                    else:
-                        busy[w] = False
-                        if queues[w].drained:
-                            return
-                        if tracer.enabled and stall_t0 < 0.0:
-                            stall_t0 = time.perf_counter()
-                        time.sleep(0)
-
-            threads = [
-                threading.Thread(target=consume, args=(w,), daemon=True)
-                for w in range(cfg.workers)
-            ]
-            for t in threads:
-                t.start()
-            if reg.sink.enabled:
-                sampler.start(period_s=0.005)
-
         def drain_inline(w: int, limit: int | None = None) -> None:
             popped = 0
             while limit is None or popped < limit:
@@ -351,10 +299,7 @@ class ParallelProfiler:
             if not queues[w].try_push(chunk):
                 stall_t0 = time.perf_counter() if tracer.enabled else 0.0
                 while True:
-                    if self.mode == "deterministic":
-                        drain_inline(w, limit=1)
-                    else:
-                        time.sleep(0)
+                    drain_inline(w, limit=1)
                     if queues[w].try_push(chunk):
                         break
                 if tracer.enabled:
@@ -376,14 +321,10 @@ class ParallelProfiler:
                     push_chunk(w)
 
         def quiesce() -> None:
-            """Wait until every queue is empty and every worker idle."""
+            """Drain every queue, so each worker has consumed its rows."""
             t0 = time.perf_counter() if tracer.enabled else 0.0
-            if self.mode == "deterministic":
-                for w in range(cfg.workers):
-                    drain_inline(w)
-            else:
-                while any(len(q) for q in queues) or any(busy):
-                    time.sleep(0)
+            for w in range(cfg.workers):
+                drain_inline(w)
             if tracer.enabled:
                 tracer.complete("pipeline.quiesce", MAIN_TRACK, t0)
 
@@ -456,14 +397,7 @@ class ParallelProfiler:
                 e = min(s + self.window, n)
                 with reg.span("route", window_start=s):
                     rows = np.arange(s, e, dtype=np.int64)
-                    kind_w = np.asarray(kind[s:e])
-                    acc = (kind_w == READ) | (kind_w == WRITE)
-                    bcast = (
-                        (kind_w == FREE)
-                        | (kind_w == LOOP_ENTER)
-                        | (kind_w == LOOP_ITER)
-                        | (kind_w == LOOP_EXIT)
-                    )
+                    acc, bcast = route_masks(kind[s:e])
                     bcast_counter.inc(int(np.count_nonzero(bcast)))
                     acc_rows = rows[acc]
                     if len(acc_rows):
@@ -475,8 +409,7 @@ class ParallelProfiler:
                         wrows = rows[(acc & (assign == w)) | bcast]
                         if len(wrows):
                             bulk_append(w, wrows)
-                if self.mode == "deterministic":
-                    sampler.poll()
+                sampler.poll()
                 if accesses_routed - accesses_at_last_check >= rebalance_every:
                     accesses_at_last_check = accesses_routed
                     maybe_rebalance()
@@ -491,28 +424,14 @@ class ParallelProfiler:
                 for w in range(cfg.workers):
                     push_chunk(w)
                     queues[w].close()
-                if self.mode == "deterministic":
-                    for w in range(cfg.workers):
-                        drain_inline(w)
-                else:
-                    for t in threads:
-                        t.join()
+                for w in range(cfg.workers):
+                    drain_inline(w)
         finally:
-            # Whatever aborted the pipeline, the sampler thread must not
-            # outlive the run (stop() is idempotent and takes one final
-            # forced sample).
-            if self.mode == "threads":
-                sampler.stop()
-            else:
-                sampler.poll(force=True)  # final post-drain sample
+            sampler.poll(force=True)  # final post-drain sample
             # A worker failure propagating out of this frame must not lose
             # the telemetry already emitted: flush (not close) the sink.
             reg.sink.flush()
             self._ledger_checkpoint(reg)
-        if worker_errors:
-            # Consumers drained the remaining stream without processing;
-            # surface the first failure on the caller's thread.
-            raise worker_errors[0]
 
         with reg.span("merge"):
             store = DependenceStore()
@@ -724,15 +643,7 @@ class ParallelProfiler:
             n_bcast = 0
             for s in range(0, len(batch), self.window):
                 e = min(s + self.window, len(batch))
-                kind_w = np.asarray(kind[s:e])
-                n_bcast += int(
-                    np.count_nonzero(
-                        (kind_w == FREE)
-                        | (kind_w == LOOP_ENTER)
-                        | (kind_w == LOOP_ITER)
-                        | (kind_w == LOOP_EXIT)
-                    )
-                )
+                n_bcast += int(np.count_nonzero(route_masks(kind[s:e])[1]))
                 if release is not None:
                     release(s, e)
             reg.counter("pipeline.broadcast_rows").inc(n_bcast)

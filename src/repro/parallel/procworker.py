@@ -30,10 +30,9 @@ from repro.obs.environment import peak_rss_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.tracing import Tracer, worker_track
-from repro.parallel.address_map import AddressMap
+from repro.parallel.address_map import AddressMap, route_masks
 from repro.parallel.heartbeat import HeartbeatBoard
 from repro.parallel.worker import Worker
-from repro.trace import FREE, LOOP_ENTER, LOOP_EXIT, LOOP_ITER, READ, WRITE
 from repro.trace.shm import SharedBatchMeta, attach_batch
 
 
@@ -86,14 +85,7 @@ def run_worker(
                 break
             s, e, widx = task
             rows = np.arange(s, e, dtype=np.int64)
-            kind_w = np.asarray(kind[s:e])
-            acc = (kind_w == READ) | (kind_w == WRITE)
-            bcast = (
-                (kind_w == FREE)
-                | (kind_w == LOOP_ENTER)
-                | (kind_w == LOOP_ITER)
-                | (kind_w == LOOP_EXIT)
-            )
+            acc, bcast = route_masks(kind[s:e])
             assign = amap.workers_of(np.asarray(batch.addr[s:e]))
             wrows = rows[(acc & (assign == wid)) | bcast]
             for i in range(0, len(wrows), chunk_size):

@@ -25,8 +25,7 @@ class SpscRingQueue:
     """Bounded lock-free single-producer/single-consumer queue.
 
     ``try_push``/``try_pop`` never block and never take a lock.  ``closed``
-    is a producer-set flag letting the consumer distinguish "momentarily
-    empty" from "finished".
+    is a producer-set end-of-stream flag; pushing after it raises.
 
     Stall accounting lives in :class:`~repro.obs.metrics.Counter` objects —
     callers (the pipeline engine) pass counters from their run's metrics
@@ -114,11 +113,6 @@ class SpscRingQueue:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def drained(self) -> bool:
-        """True once closed and fully consumed."""
-        return self._closed and self._head == self._tail
-
 
 class LockedQueue:
     """Mutex-protected queue with the same interface (the paper's baseline)."""
@@ -195,8 +189,3 @@ class LockedQueue:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def drained(self) -> bool:
-        with self._lock:
-            return self._closed and not self._items

@@ -1,10 +1,10 @@
 """Structure-of-arrays trace storage.
 
-A :class:`TraceBatch` is the unit every profiler engine consumes: eight
-parallel numpy columns plus three intern tables (variable names, file names,
-static loop contexts).  It is append-built through :class:`TraceBuilder`
-(amortized O(1) growth) and immutable afterwards, so engines may share one
-batch across experiments without copying.
+A :class:`TraceBatch` is the unit every profiler engine consumes: seven
+parallel numpy columns plus two intern tables (variable names, file names).
+It is append-built through :class:`TraceBuilder` (amortized O(1) growth) and
+immutable afterwards, so engines may share one batch across experiments
+without copying.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ _COLUMNS = (
     ("aux", np.int64),
     ("var", np.int32),
     ("ts", np.int64),
-    ("ctx", np.int32),
 )
 
 
@@ -35,16 +34,13 @@ class TraceBatch:
 
     Attributes
     ----------
-    kind, tid, loc, addr, aux, var, ts, ctx:
+    kind, tid, loc, addr, aux, var, ts:
         Parallel numpy arrays; see :class:`repro.trace.events.Event` for the
         per-kind column semantics.
     var_names:
         Intern table mapping ``var`` ids to variable names.
     file_names:
         Intern table mapping file ids (high bits of ``loc``) to file names.
-    ctx_stacks:
-        Intern table mapping ``ctx`` ids to static loop stacks — tuples of
-        encoded loop-site locations, outermost first.
     """
 
     kind: np.ndarray
@@ -54,10 +50,8 @@ class TraceBatch:
     aux: np.ndarray
     var: np.ndarray
     ts: np.ndarray
-    ctx: np.ndarray
     var_names: tuple[str, ...] = ()
     file_names: tuple[str, ...] = ()
-    ctx_stacks: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.kind)
@@ -109,10 +103,8 @@ class TraceBatch:
             aux=self.aux[index],
             var=self.var[index],
             ts=self.ts[index],
-            ctx=self.ctx[index],
             var_names=self.var_names,
             file_names=self.file_names,
-            ctx_stacks=self.ctx_stacks,
         )
 
     def event(self, i: int) -> Event:
@@ -125,7 +117,6 @@ class TraceBatch:
             aux=int(self.aux[i]),
             var=int(self.var[i]),
             ts=int(self.ts[i]),
-            ctx=int(self.ctx[i]),
         )
 
     def iter_events(self) -> Iterator[Event]:
@@ -169,8 +160,6 @@ class TraceBuilder:
         self._var_ids: dict[str, int] = {}
         self.file_names: list[str] = []
         self._file_ids: dict[str, int] = {}
-        self.ctx_stacks: list[tuple[int, ...]] = []
-        self._ctx_ids: dict[tuple[int, ...], int] = {}
 
     def __len__(self) -> int:
         return self._n
@@ -192,14 +181,6 @@ class TraceBuilder:
             self._file_ids[name] = fid
         return fid
 
-    def intern_ctx(self, stack: tuple[int, ...]) -> int:
-        cid = self._ctx_ids.get(stack)
-        if cid is None:
-            cid = len(self.ctx_stacks)
-            self.ctx_stacks.append(stack)
-            self._ctx_ids[stack] = cid
-        return cid
-
     # -- row append --------------------------------------------------------
     def _grow(self, need: int) -> None:
         cap = self._cap
@@ -220,7 +201,6 @@ class TraceBuilder:
         aux: int,
         var: int,
         ts: int,
-        ctx: int,
     ) -> None:
         if self._n == self._cap:
             self._grow(self._n + 1)
@@ -233,7 +213,6 @@ class TraceBuilder:
         c["aux"][n] = aux
         c["var"][n] = var
         c["ts"][n] = ts
-        c["ctx"][n] = ctx
         self._n = n + 1
 
     def append_rows(self, n: int, **cols: "np.ndarray | int") -> None:
@@ -241,7 +220,7 @@ class TraceBuilder:
 
         Scalars broadcast over the block (numpy assignment semantics); array
         columns must have length ``n``.  Missing columns default to ``-1``
-        for ``loc``/``var``/``ctx`` and ``0`` otherwise; ``ts`` defaults to a
+        for ``loc``/``var`` and ``0`` otherwise; ``ts`` defaults to a
         fresh monotone range.  This is the bulk-emission primitive behind the
         producer fast path and synthetic trace generators: one call replaces
         ``n`` per-row :meth:`append` calls.
@@ -261,7 +240,7 @@ class TraceBuilder:
         if self._n + n > self._cap:
             self._grow(self._n + n)
         start = self._n
-        defaults = {"loc": -1, "var": -1, "ctx": -1}
+        defaults = {"loc": -1, "var": -1}
         for name, _ in _COLUMNS:
             dst = self._cols[name][start : start + n]
             if name in cols:
@@ -289,5 +268,4 @@ class TraceBuilder:
             **{name: self._cols[name][: self._n].copy() for name, _ in _COLUMNS},
             var_names=tuple(self.var_names),
             file_names=tuple(self.file_names),
-            ctx_stacks=tuple(self.ctx_stacks),
         )

@@ -71,7 +71,6 @@ class Event:
     aux: int
     var: int  # interned variable-name id, -1 for "none"
     ts: int  # global monotone timestamp (push order)
-    ctx: int  # interned static-loop-stack id, -1 outside any loop
 
     @property
     def kind_name(self) -> str:

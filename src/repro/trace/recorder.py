@@ -5,8 +5,8 @@ In the paper, an LLVM pass inserts calls to ``push_read``/``push_write``
 of that runtime library.  An executing target program (the MiniVM
 interpreter, or a synthetic workload generator) calls the methods below; the
 recorder assigns global *access timestamps*, tracks each target thread's
-dynamic loop stack, interns variable names and static loop contexts, and
-appends rows to a :class:`~repro.trace.batch.TraceBuilder`.
+dynamic loop stack, interns variable and file names, and appends rows to a
+:class:`~repro.trace.batch.TraceBuilder`.
 
 Timestamps vs. stream order
 ---------------------------
@@ -29,14 +29,13 @@ from repro.trace import events as ev
 
 
 class _ThreadState:
-    """Per-target-thread dynamic loop stack + cached static-context id."""
+    """Per-target-thread dynamic loop stack."""
 
-    __slots__ = ("loop_sites", "loop_iters", "ctx_id", "alive")
+    __slots__ = ("loop_sites", "loop_iters", "alive")
 
     def __init__(self) -> None:
         self.loop_sites: list[int] = []  # encoded header locs, outermost first
         self.loop_iters: list[int] = []  # current iteration index per frame
-        self.ctx_id = -1  # interned id of tuple(loop_sites)
         self.alive = True
 
 
@@ -77,16 +76,11 @@ class TraceRecorder:
         addr: int,
         aux: int,
         var: int,
-        ts: int | None,
-        ctx: int,
+        ts: int | None = None,
     ) -> None:
         if ts is None:
             ts = self.next_ts()
-        self._builder.append(kind, tid, loc, addr, aux, var, ts, ctx)
-
-    def current_ctx(self, tid: int) -> int:
-        """The thread's interned static-loop-context id right now."""
-        return self._state(tid).ctx_id
+        self._builder.append(kind, tid, loc, addr, aux, var, ts)
 
     # -- memory accesses -----------------------------------------------------
     def read(
@@ -96,17 +90,14 @@ class TraceRecorder:
         var: int = -1,
         tid: int = 0,
         ts: int | None = None,
-        ctx: int | None = None,
     ) -> None:
         """Record a load of ``addr`` at source location ``loc``.
 
-        ``ts``/``ctx`` override the defaults for *delayed* pushes: the caller
-        captured the access timestamp and loop context at access time and
-        pushes the event later (Section V-A).
+        ``ts`` overrides the default for *delayed* pushes: the caller
+        captured the access timestamp at access time and pushes the event
+        later (Section V-A).
         """
-        if ctx is None:
-            ctx = self._state(tid).ctx_id
-        self._emit(ev.READ, tid, loc, addr, 0, var, ts, ctx)
+        self._emit(ev.READ, tid, loc, addr, 0, var, ts)
 
     def write(
         self,
@@ -115,21 +106,18 @@ class TraceRecorder:
         var: int = -1,
         tid: int = 0,
         ts: int | None = None,
-        ctx: int | None = None,
     ) -> None:
         """Record a store to ``addr`` at source location ``loc``."""
-        if ctx is None:
-            ctx = self._state(tid).ctx_id
-        self._emit(ev.WRITE, tid, loc, addr, 0, var, ts, ctx)
+        self._emit(ev.WRITE, tid, loc, addr, 0, var, ts)
 
     # -- allocation lifecycle (variable-lifetime analysis) ---------------------
     def alloc(
         self, addr: int, size: int, loc: int = -1, var: int = -1, tid: int = 0
     ) -> None:
-        self._emit(ev.ALLOC, tid, loc, addr, size, var, None, self._state(tid).ctx_id)
+        self._emit(ev.ALLOC, tid, loc, addr, size, var)
 
     def free(self, addr: int, size: int, loc: int = -1, tid: int = 0) -> None:
-        self._emit(ev.FREE, tid, loc, addr, size, -1, None, self._state(tid).ctx_id)
+        self._emit(ev.FREE, tid, loc, addr, size, -1)
 
     # -- control regions -------------------------------------------------------
     def loop_enter(self, site: int, tid: int = 0) -> None:
@@ -137,8 +125,7 @@ class TraceRecorder:
         st = self._state(tid)
         st.loop_sites.append(site)
         st.loop_iters.append(-1)  # first loop_iter() makes it 0
-        st.ctx_id = self._builder.intern_ctx(tuple(st.loop_sites))
-        self._emit(ev.LOOP_ENTER, tid, site, site, 0, -1, None, st.ctx_id)
+        self._emit(ev.LOOP_ENTER, tid, site, site, 0, -1)
 
     def loop_iter(self, site: int, tid: int = 0) -> None:
         """Mark the start of the next iteration of the innermost loop."""
@@ -149,9 +136,7 @@ class TraceRecorder:
                 f"{st.loop_sites[-1] if st.loop_sites else None}"
             )
         st.loop_iters[-1] += 1
-        self._emit(
-            ev.LOOP_ITER, tid, site, site, st.loop_iters[-1], -1, None, st.ctx_id
-        )
+        self._emit(ev.LOOP_ITER, tid, site, site, st.loop_iters[-1], -1)
 
     def emit_block(
         self,
@@ -170,8 +155,8 @@ class TraceRecorder:
         a block of consecutive iterations of the loop at ``site`` — the
         LOOP_ITER markers and every access of every iteration, in exactly
         the order the tree-walking interpreter would have pushed them.  This
-        method supplies what the recorder owns: the monotone ``ts`` range,
-        the constant loop context, and the per-thread iteration bookkeeping
+        method supplies what the recorder owns: the monotone ``ts`` range
+        and the per-thread iteration bookkeeping
         that :meth:`loop_iter` normally advances one call at a time.
         """
         st = self._state(tid)
@@ -193,7 +178,6 @@ class TraceRecorder:
             aux=aux,
             var=var,
             ts=np.arange(ts0, ts0 + n_rows, dtype=np.int64),
-            ctx=st.ctx_id,
         )
 
     def loop_exit(self, site: int, tid: int = 0, end_loc: int | None = None) -> None:
@@ -210,37 +194,26 @@ class TraceRecorder:
             )
         iters = st.loop_iters.pop() + 1
         st.loop_sites.pop()
-        old_ctx = st.ctx_id
-        st.ctx_id = (
-            self._builder.intern_ctx(tuple(st.loop_sites)) if st.loop_sites else -1
-        )
         self._emit(
-            ev.LOOP_EXIT,
-            tid,
-            site if end_loc is None else end_loc,
-            site,
-            iters,
-            -1,
-            None,
-            old_ctx,
+            ev.LOOP_EXIT, tid, site if end_loc is None else end_loc, site, iters, -1
         )
 
     # -- synchronization ---------------------------------------------------------
     def lock_acquire(self, lock_id: int, loc: int = -1, tid: int = 0) -> None:
-        self._emit(ev.LOCK_ACQ, tid, loc, lock_id, 0, -1, None, self._state(tid).ctx_id)
+        self._emit(ev.LOCK_ACQ, tid, loc, lock_id, 0, -1)
 
     def lock_release(self, lock_id: int, loc: int = -1, tid: int = 0) -> None:
-        self._emit(ev.LOCK_REL, tid, loc, lock_id, 0, -1, None, self._state(tid).ctx_id)
+        self._emit(ev.LOCK_REL, tid, loc, lock_id, 0, -1)
 
     # -- functions / threads -------------------------------------------------------
     def func_enter(self, func_id: int, loc: int = -1, tid: int = 0) -> None:
-        self._emit(ev.FUNC_ENTER, tid, loc, func_id, 0, -1, None, self._state(tid).ctx_id)
+        self._emit(ev.FUNC_ENTER, tid, loc, func_id, 0, -1)
 
     def func_exit(self, func_id: int, loc: int = -1, tid: int = 0) -> None:
-        self._emit(ev.FUNC_EXIT, tid, loc, func_id, 0, -1, None, self._state(tid).ctx_id)
+        self._emit(ev.FUNC_EXIT, tid, loc, func_id, 0, -1)
 
     def thread_start(self, tid: int, parent_tid: int = 0) -> None:
-        self._emit(ev.THREAD_START, tid, -1, 0, parent_tid, -1, None, -1)
+        self._emit(ev.THREAD_START, tid, -1, 0, parent_tid, -1)
 
     def thread_end(self, tid: int) -> None:
         st = self._state(tid)
@@ -249,7 +222,7 @@ class TraceRecorder:
                 f"thread {tid} ended inside {len(st.loop_sites)} open loop(s)"
             )
         st.alive = False
-        self._emit(ev.THREAD_END, tid, -1, 0, 0, -1, None, -1)
+        self._emit(ev.THREAD_END, tid, -1, 0, 0, -1)
 
     # -- finish --------------------------------------------------------------------
     def build(self) -> TraceBatch:

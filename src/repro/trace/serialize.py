@@ -1,9 +1,11 @@
 """Trace (de)serialization.
 
-Traces are stored as ``.npz`` archives: one array per column plus the three
+Traces are stored as ``.npz`` archives: one array per column plus the two
 intern tables.  This lets workload traces be generated once and replayed
 across many profiler configurations, mirroring how the paper separates target
-execution from dependence analysis.
+execution from dependence analysis.  Readers load only the columns and
+tables they know, so archives written with extra ones by older versions
+still load.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.common.errors import TraceFormatError
-from repro.trace.batch import TraceBatch
+from repro.trace.batch import _COLUMNS, TraceBatch
 
 _FORMAT_VERSION = 1
-_COLUMN_NAMES = ("kind", "tid", "loc", "addr", "aux", "var", "ts", "ctx")
+_COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
 
 
 def save_trace(batch: TraceBatch, path: str | Path) -> None:
@@ -26,7 +28,6 @@ def save_trace(batch: TraceBatch, path: str | Path) -> None:
         "version": _FORMAT_VERSION,
         "var_names": list(batch.var_names),
         "file_names": list(batch.file_names),
-        "ctx_stacks": [list(s) for s in batch.ctx_stacks],
     }
     arrays = {name: getattr(batch, name) for name in _COLUMN_NAMES}
     arrays["meta_json"] = np.frombuffer(
@@ -51,5 +52,4 @@ def load_trace(path: str | Path) -> TraceBatch:
         **columns,
         var_names=tuple(meta["var_names"]),
         file_names=tuple(meta["file_names"]),
-        ctx_stacks=tuple(tuple(s) for s in meta["ctx_stacks"]),
     )

@@ -6,7 +6,7 @@ rows by address hash, so every worker reads every column — without pickling
 megabytes of numpy arrays per chunk.  The paper's pipeline gets this for
 free from threads; here we reproduce it across address spaces:
 
-* :func:`share_batch` copies the batch's eight columns once into a single
+* :func:`share_batch` copies the batch's columns once into a single
   :class:`multiprocessing.shared_memory.SharedMemory` block (8-byte-aligned
   offsets) and returns a small picklable :class:`SharedBatchMeta` describing
   the layout plus the (tiny) intern tables.
@@ -51,7 +51,6 @@ class SharedBatchMeta:
     columns: tuple[tuple[str, str, int], ...]
     var_names: tuple[str, ...]
     file_names: tuple[str, ...]
-    ctx_stacks: tuple[tuple[int, ...], ...]
     #: Spill directory to re-map worker-side (``None`` = shm transport).
     path: str | None = None
 
@@ -99,7 +98,6 @@ def share_batch(batch: TraceBatch) -> SharedBatch:
             columns=(),
             var_names=batch.var_names,
             file_names=batch.file_names,
-            ctx_stacks=batch.ctx_stacks,
             path=str(spill_path),
         )
         return SharedBatch(None, meta)
@@ -120,7 +118,6 @@ def share_batch(batch: TraceBatch) -> SharedBatch:
         columns=tuple(layout),
         var_names=batch.var_names,
         file_names=batch.file_names,
-        ctx_stacks=batch.ctx_stacks,
     )
     return SharedBatch(shm, meta)
 
@@ -167,6 +164,5 @@ def attach_batch(
         **cols,
         var_names=meta.var_names,
         file_names=meta.file_names,
-        ctx_stacks=meta.ctx_stacks,
     )
     return batch, shm

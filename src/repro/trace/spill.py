@@ -97,7 +97,6 @@ class TraceSpillWriter:
         self.n_events = 0
         self.var_names: tuple[str, ...] = ()
         self.file_names: tuple[str, ...] = ()
-        self.ctx_stacks: tuple[tuple[int, ...], ...] = ()
         self.unique_addresses_hint: int | None = None
         self._closed = False
 
@@ -114,18 +113,16 @@ class TraceSpillWriter:
         self,
         var_names: tuple[str, ...],
         file_names: tuple[str, ...],
-        ctx_stacks: tuple[tuple[int, ...], ...],
     ) -> None:
         self.var_names = tuple(var_names)
         self.file_names = tuple(file_names)
-        self.ctx_stacks = tuple(tuple(s) for s in ctx_stacks)
 
     def set_unique_hint(self, n_unique: int) -> None:
         """Declare the exact distinct READ/WRITE address count."""
         self.unique_addresses_hint = int(n_unique)
 
     def append_columns(self, **cols: np.ndarray) -> None:
-        """Append one aligned segment of all eight columns."""
+        """Append one aligned segment of every trace column."""
         missing = {name for name, _ in _COLUMNS} - set(cols)
         if missing:
             raise TraceFormatError(f"missing spill columns: {sorted(missing)}")
@@ -145,8 +142,6 @@ class TraceSpillWriter:
             self.var_names = batch.var_names
         if not self.file_names and batch.file_names:
             self.file_names = batch.file_names
-        if not self.ctx_stacks and batch.ctx_stacks:
-            self.ctx_stacks = batch.ctx_stacks
         self.append_columns(
             **{name: getattr(batch, name) for name, _ in _COLUMNS}
         )
@@ -163,7 +158,6 @@ class TraceSpillWriter:
             "columns": {name: np.dtype(dt).str for name, dt in _COLUMNS},
             "var_names": list(self.var_names),
             "file_names": list(self.file_names),
-            "ctx_stacks": [list(s) for s in self.ctx_stacks],
             "unique_addresses_hint": self.unique_addresses_hint,
         }
         tmp = self.path / (_META_NAME + ".tmp")
@@ -219,7 +213,6 @@ def open_spill(path: str | Path) -> SpilledTraceBatch:
         **cols,
         var_names=tuple(meta["var_names"]),
         file_names=tuple(meta["file_names"]),
-        ctx_stacks=tuple(tuple(s) for s in meta["ctx_stacks"]),
         spill_path=str(path),
         unique_addresses_hint=None if hint is None else int(hint),
     )

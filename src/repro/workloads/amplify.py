@@ -127,7 +127,6 @@ def amplify_batch(
         },
         var_names=batch.var_names,
         file_names=batch.file_names,
-        ctx_stacks=batch.ctx_stacks,
     )
 
 
@@ -153,7 +152,7 @@ def amplify_to_spill(
     }
     shift = _shift_mask(base["kind"])
     with TraceSpillWriter(path) as w:
-        w.set_intern_tables(batch.var_names, batch.file_names, batch.ctx_stacks)
+        w.set_intern_tables(batch.var_names, batch.file_names)
         w.set_unique_hint(factor * batch.n_unique_addresses)
         for t in range(factor):
             w.append_columns(

@@ -36,7 +36,7 @@ def run_both(program, schedule=None, args=()):
 
 
 def assert_traces_identical(a, b):
-    for col in ("kind", "tid", "loc", "addr", "aux", "var", "ts", "ctx"):
+    for col in ("kind", "tid", "loc", "addr", "aux", "var", "ts"):
         x, y = getattr(a, col), getattr(b, col)
         assert len(x) == len(y), f"column {col}: {len(x)} vs {len(y)} rows"
         if not np.array_equal(x, y):
@@ -47,7 +47,6 @@ def assert_traces_identical(a, b):
         assert x.dtype == y.dtype, col
     assert a.var_names == b.var_names
     assert a.file_names == b.file_names
-    assert a.ctx_stacks == b.ctx_stacks
 
 
 def memory_state(sched):

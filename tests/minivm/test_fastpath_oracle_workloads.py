@@ -17,7 +17,7 @@ from repro.workloads import get_workload, workload_names
 ALL = workload_names("nas") + workload_names("starbench") + workload_names("splash2x")
 PAR = [n for n in ALL if get_workload(n).has_parallel_variant]
 
-COLUMNS = ("kind", "tid", "loc", "addr", "aux", "var", "ts", "ctx")
+COLUMNS = ("kind", "tid", "loc", "addr", "aux", "var", "ts")
 
 
 def _run(program, schedule, fastpath):
@@ -37,7 +37,6 @@ def _assert_identical(fast, slow, label):
         )
     assert fast.var_names == slow.var_names, label
     assert fast.file_names == slow.file_names, label
-    assert fast.ctx_stacks == slow.ctx_stacks, label
 
 
 def _check(name, variant):

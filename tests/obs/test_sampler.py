@@ -1,57 +1,11 @@
-"""Gauge-sampler thread lifecycle, including pipeline abort paths."""
-
-import threading
+"""The deadline-grid tick loop, and the gauge sampler on pipeline abort."""
 
 import pytest
 
 from repro.common.config import ProfilerConfig
-from repro.obs import MemorySink, MetricsRegistry, Sampler, deadline_loop
+from repro.obs import MemorySink, MetricsRegistry, deadline_loop
 from repro.parallel import ParallelProfiler
 from tests.trace_helpers import seq_trace
-
-
-def sampler_threads():
-    return [t for t in threading.enumerate() if t.name == "obs-sampler"]
-
-
-def make_sampler(sink=None):
-    reg = MetricsRegistry(sink)
-    sampler = Sampler(reg)
-    sampler.add("probe.value", lambda: 42)
-    return reg, sampler
-
-
-class TestThreadLifecycle:
-    def test_stop_joins_thread_and_samples_exactly_once_more(self):
-        _, sampler = make_sampler(MemorySink())
-        sampler.start(period_s=60)  # period far beyond the test: no timer polls
-        assert sampler.running
-        sampler.stop()
-        assert not sampler.running
-        assert sampler_threads() == []
-        assert sampler.n_samples == 1  # the single forced final sample
-
-    def test_stop_is_idempotent(self):
-        _, sampler = make_sampler(MemorySink())
-        sampler.start(period_s=60)
-        sampler.stop()
-        n = sampler.n_samples
-        sampler.stop()
-        sampler.stop()
-        assert sampler.n_samples == n  # no extra final samples
-
-    def test_stop_without_start_is_a_noop(self):
-        _, sampler = make_sampler()
-        sampler.stop()
-        assert sampler.n_samples == 0
-
-    def test_start_twice_keeps_one_thread(self):
-        _, sampler = make_sampler()
-        sampler.start(period_s=60)
-        t = sampler._thread
-        sampler.start(period_s=60)
-        assert sampler._thread is t
-        sampler.stop()
 
 
 class FakeTime:
@@ -109,29 +63,6 @@ class TestDeadlineGrid:
         with pytest.raises(ValueError):
             deadline_loop(lambda: None, -1.0, lambda d: True)
 
-    def test_sampler_counts_missed_ticks_on_fake_clock(self):
-        """Sampler._run_loop on a fake clock: a probe that overruns the
-        period accumulates ticks_missed instead of silently skewing."""
-        ft = FakeTime(tick_cost=0.0, max_fires=0)
-        reg = MetricsRegistry(MemorySink())
-        sampler = Sampler(reg, clock=ft.clock)
-
-        def slow_probe():
-            ft.t += 2.5  # each poll overruns the 1.0s period
-            return 42
-
-        sampler.add("probe.slow", slow_probe)
-
-        def wait(delay):
-            ft.t += delay
-            return sampler.n_samples >= 2
-
-        sampler._run_loop(1.0, wait)
-        assert sampler.n_samples == 2
-        assert sampler.ticks_missed == 4  # two overruns x two skipped points
-        events = [e for e in reg.sink.events if e["type"] == "sample"]
-        assert [e["seq"] for e in events] == [1, 2]
-
 
 class TestPipelineAbort:
     def throwing_trace(self):
@@ -142,9 +73,9 @@ class TestPipelineAbort:
         return seq_trace(ops)
 
     def test_worker_exception_propagates_without_leaking_sampler(self, monkeypatch):
-        """A worker blowing up mid-run must abort the threads-mode pipeline
-        cleanly: the error surfaces on the caller, the queues still drain
-        (no producer deadlock), and no obs-sampler thread is left behind."""
+        """A worker blowing up mid-run aborts the pipeline cleanly: the
+        error surfaces on the caller and the producer's final forced
+        sample still reaches the sink."""
         from repro.parallel.worker import Worker
 
         boom = RuntimeError("worker exploded")
@@ -156,18 +87,8 @@ class TestPipelineAbort:
         sink = MemorySink()
         reg = MetricsRegistry(sink)
         cfg = ProfilerConfig(perfect_signature=True, workers=2, chunk_size=8)
-        prof = ParallelProfiler(cfg, mode="threads", registry=reg)
+        prof = ParallelProfiler(cfg, mode="deterministic", registry=reg)
         with pytest.raises(RuntimeError, match="worker exploded"):
             prof.profile(self.throwing_trace())
-        assert sampler_threads() == [], "sampler daemon thread leaked"
         # The final forced sample still landed in the event stream.
         assert any(e["type"] == "sample" for e in sink.events)
-
-    def test_clean_threads_run_leaves_no_sampler_thread(self):
-        reg = MetricsRegistry(MemorySink())
-        cfg = ProfilerConfig(perfect_signature=True, workers=2, chunk_size=8)
-        res, _ = ParallelProfiler(cfg, mode="threads", registry=reg).profile(
-            self.throwing_trace()
-        )
-        assert sampler_threads() == []
-        assert res.store.n_entries > 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel.address_map import AddressMap
+from repro.parallel.address_map import AddressMap, route_masks
 from repro.parallel.chunks import Chunk, ChunkPool
 
 
@@ -51,6 +51,17 @@ class TestChunkPool:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             ChunkPool(0)
+
+
+def test_route_masks_select_access_and_broadcast_kinds():
+    from repro.trace import FREE, LOOP_ENTER, LOOP_EXIT, LOOP_ITER, READ, WRITE
+
+    kinds = np.arange(256, dtype=np.uint8)
+    acc, bcast = route_masks(kinds)
+    assert np.flatnonzero(acc).tolist() == [READ, WRITE]
+    assert np.flatnonzero(bcast).tolist() == sorted(
+        [FREE, LOOP_ENTER, LOOP_ITER, LOOP_EXIT]
+    )
 
 
 class TestAddressMap:

@@ -3,8 +3,8 @@
 Bank-granularity migration moves live signature state between workers
 mid-run; the whole point of shipping the banks *with* the routing rules is
 that the reported dependence set stays exactly what the run without any
-rebalancing reports.  Same for the execution modes: threads and processes
-partition work differently but must agree dependence-for-dependence.
+rebalancing reports.  Same for the execution modes: deterministic and
+processes partition work differently but must agree dependence-for-dependence.
 """
 
 import pytest
@@ -77,24 +77,14 @@ class TestRebalancingDifferential:
 
 class TestModeDifferential:
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_threads_equals_processes_with_banks(self, name):
-        batch = get_trace(name)
-        cfg = ProfilerConfig(
-            workers=2, perfect_signature=True, signature_banks=8
-        )
-        t, _ = profile_set(batch, cfg, mode="threads")
-        p, _ = profile_set(batch, cfg, mode="processes")
-        assert t == p
-
-    @pytest.mark.parametrize("name", WORKLOADS)
-    def test_deterministic_equals_threads_with_banks(self, name):
+    def test_modes_agree_with_banks(self, name):
         batch = get_trace(name)
         cfg = ProfilerConfig(
             workers=2, perfect_signature=True, signature_banks=8
         )
         d, _ = profile_set(batch, cfg, mode="deterministic")
-        t, _ = profile_set(batch, cfg, mode="threads")
-        assert d == t
+        p, _ = profile_set(batch, cfg, mode="processes")
+        assert d == p
 
 
 class TestFastPathModeDifferential:
@@ -114,7 +104,7 @@ class TestFastPathModeDifferential:
         )
 
     @pytest.mark.parametrize("name", ["cg", "is"])
-    @pytest.mark.parametrize("mode", ["deterministic", "threads", "processes"])
+    @pytest.mark.parametrize("mode", ["deterministic", "processes"])
     def test_dependence_sets_equal(self, name, mode):
         fast, slow = self._traces(name)
         cfg = ProfilerConfig(workers=2, perfect_signature=True, chunk_size=512)

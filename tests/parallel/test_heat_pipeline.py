@@ -5,7 +5,7 @@ Three contracts from the heatmap design:
 * **Exactness** — heat read/write totals equal the producer's event counts
   exactly (no sampling, no loss) in every execution mode.
 * **Mode equivalence** — the processes-mode merged heatmap is bit-for-bit
-  identical to the threads-mode heatmap on every bundled workload
+  identical to the deterministic-mode heatmap on every bundled workload
   (rebalancing suppressed, so per-worker attribution matches the static
   partition both modes then share).
 * **Attribution** — signature-conflict heat attributed to address buckets
@@ -74,14 +74,14 @@ class TestHeatExactness:
 
 class TestModeEquivalence:
     @pytest.mark.parametrize("name", ALL)
-    def test_processes_heat_equals_threads_heat(self, name):
+    def test_heat_equal_across_modes(self, name):
         batch = get_trace(name)
-        reg_t, _, _ = run_mode(batch, "threads")
+        reg_d, _, _ = run_mode(batch, "deterministic")
         reg_p, _, _ = run_mode(batch, "processes")
-        state_t = heat_state(reg_t)
+        state_d = heat_state(reg_d)
         state_p = heat_state(reg_p)
-        assert state_t, f"{name}: no heat recorded"
-        assert state_p == state_t  # bit-for-bit: counts, sums, layouts
+        assert state_d, f"{name}: no heat recorded"
+        assert state_p == state_d  # bit-for-bit: counts, sums, layouts
 
 
 class TestConflictAttribution:

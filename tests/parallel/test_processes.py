@@ -40,12 +40,11 @@ class TestSharedBatch:
         try:
             remote, handle = attach_batch(shared.meta)
             try:
-                for col in ("kind", "tid", "loc", "addr", "aux", "var", "ts", "ctx"):
+                for col in ("kind", "tid", "loc", "addr", "aux", "var", "ts"):
                     np.testing.assert_array_equal(
                         getattr(remote, col), getattr(batch, col)
                     )
                 assert remote.var_names == batch.var_names
-                assert remote.ctx_stacks == batch.ctx_stacks
                 assert not remote.addr.flags.writeable
             finally:
                 handle.close()

@@ -51,14 +51,6 @@ class TestQueueProtocol:
         with pytest.raises(QueueClosedError):
             q.try_push(1)
 
-    def test_drained_semantics(self, queue_cls):
-        q = queue_cls(4)
-        q.try_push(1)
-        q.close()
-        assert not q.drained  # closed but still has an item
-        q.try_pop()
-        assert q.drained
-
     def test_capacity_positive_required(self, queue_cls):
         with pytest.raises(ValueError):
             queue_cls(0)
@@ -172,7 +164,7 @@ class TestSpscSpecific:
                 ok, v = q.try_pop()
                 if ok:
                     received.append(v)
-                elif q.drained:
+                elif q.closed and not len(q):  # closed is read first
                     return
 
         threads = [threading.Thread(target=producer), threading.Thread(target=consumer)]
@@ -185,7 +177,7 @@ class TestSpscSpecific:
 
 class TestPipelineDrainPaths:
     """Whole-pipeline runs sized so the rings wrap around many times and hit
-    full-ring backpressure, under each consumer drain path."""
+    full-ring backpressure, under each execution mode's drain path."""
 
     def _batch(self):
         from repro.workloads import get_trace
@@ -200,29 +192,19 @@ class TestPipelineDrainPaths:
             perfect_signature=True, workers=2, chunk_size=64, queue_depth=2
         )
 
-    def test_threads_mode_wraparound_and_backpressure(self):
+    def test_deterministic_inline_drain_same_counters(self):
         from repro.core import profile_trace
         from repro.parallel import ParallelProfiler
 
         batch = self._batch()
         cfg = self._tiny_cfg()
-        reg = MetricsRegistry()
-        par, info = ParallelProfiler(cfg, mode="threads", registry=reg).profile(batch)
-        seq = profile_trace(batch, cfg.with_(workers=1), "reference")
-        assert par.store == seq.store
-        # The ring held at most queue_depth chunks but carried hundreds.
-        assert info.n_chunks > 10 * cfg.queue_depth * cfg.workers
-
-    def test_deterministic_inline_drain_same_counters(self):
-        from repro.parallel import ParallelProfiler
-
-        batch = self._batch()
-        cfg = self._tiny_cfg()
         det, di = ParallelProfiler(cfg, mode="deterministic").profile(batch)
-        thr, ti = ParallelProfiler(cfg, mode="threads").profile(batch)
-        assert det.store == thr.store
-        assert di.n_chunks == ti.n_chunks
-        assert di.per_worker_accesses == ti.per_worker_accesses
+        seq = profile_trace(batch, cfg.with_(workers=1), "reference")
+        assert det.store == seq.store
+        assert sum(di.per_worker_accesses) == seq.stats.n_accesses
+        # The ring held at most queue_depth chunks but carried hundreds.
+        assert di.n_chunks > 10 * cfg.queue_depth * cfg.workers
+        assert di.n_chunks == sum(di.per_worker_chunks)
         # Inline drain means the full producer stream hit backpressure at
         # least once with a 2-deep ring.
         assert di.push_stalls > 0

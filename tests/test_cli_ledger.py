@@ -51,6 +51,54 @@ class TestLedgerWrites:
         assert "RuntimeError: injected cli crash" in doc["error"]
 
 
+class TestFailureContract:
+    """A library error is one stderr line and exit 2; findings keep exit 1
+    and any other exception still propagates with its traceback."""
+
+    def error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("ddprof: error: ")
+        return err
+
+    def test_unknown_workload(self, tmp_path, capsys):
+        argv = ["profile", "nosuch", "--ledger", str(tmp_path), "--run-id", "a"]
+        assert main(argv) == 2
+        assert "unknown workload 'nosuch'" in self.error_line(capsys)
+        # The crash-finalize still ran before the error was reported.
+        doc = load_bundle(tmp_path / "a")
+        assert doc["status"] == "crashed"
+        assert doc["error"].startswith("WorkloadError: ")
+
+    def test_zero_workers(self, capsys):
+        assert main(["stats", "ep", "--workers", "0", "--no-ledger"]) == 2
+        assert "workers must be positive" in self.error_line(capsys)
+
+    def test_ledger_below_a_regular_file(self, tmp_path, capsys):
+        # A path component that is a file fails mkdir for every user,
+        # root included (unlike a permission bit).
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        ledger = blocker / "runs"
+        argv = ["profile", "ep", "--ledger", str(ledger), "--run-id", "a"]
+        assert main(argv) == 2
+        err = self.error_line(capsys)
+        assert "cannot write run bundle" in err
+        assert str(ledger / "a") in err
+
+    def test_multiline_message_keeps_first_and_last_line(self, monkeypatch, capsys):
+        import repro.cli as cli_mod
+        from repro.common.errors import ProfilerError
+
+        def boom(args, reg, batch):
+            raise ProfilerError("worker process 1 failed:\nTraceback ...\nKeyError: 7")
+
+        monkeypatch.setattr(cli_mod, "_profile_for", boom)
+        assert main(["profile", "ep", "--no-ledger"]) == 2
+        err = self.error_line(capsys)
+        assert "worker process 1 failed:" in err and "KeyError: 7" in err
+
+
 class TestRunsCommands:
     def test_list_text_and_json(self, tmp_path, capsys):
         profile(tmp_path, "--run-id", "a")

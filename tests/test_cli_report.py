@@ -84,11 +84,9 @@ class TestCli:
         assert main(["races", "md5", "--delay", "0.0", "--threads", "2"]) == 0
         assert "no potential data races" in capsys.readouterr().out
 
-    def test_unknown_workload_errors(self):
-        from repro.common.errors import WorkloadError
-
-        with pytest.raises(WorkloadError):
-            main(["profile", "quake"])
+    def test_unknown_workload_errors(self, capsys):
+        assert main(["profile", "quake"]) == 2
+        assert "unknown workload 'quake'" in capsys.readouterr().err
 
     def test_listing(self, capsys):
         assert main(["listing", "ep"]) == 0

@@ -10,9 +10,9 @@ from repro.trace import READ, WRITE, LOOP_ENTER, TraceBatch, TraceBuilder
 def make_simple_batch():
     b = TraceBuilder()
     v = b.intern_var("x")
-    b.append(WRITE, 0, 100, 0x1000, 0, v, 0, -1)
-    b.append(READ, 0, 101, 0x1000, 0, v, 1, -1)
-    b.append(READ, 1, 102, 0x2000, 0, v, 2, -1)
+    b.append(WRITE, 0, 100, 0x1000, 0, v, 0)
+    b.append(READ, 0, 101, 0x1000, 0, v, 1)
+    b.append(READ, 1, 102, 0x2000, 0, v, 2)
     return b.build()
 
 
@@ -34,7 +34,7 @@ class TestBuilder:
     def test_growth_beyond_initial_capacity(self):
         b = TraceBuilder(capacity=4)
         for i in range(1000):
-            b.append(READ, 0, i, i * 8, 0, -1, i, -1)
+            b.append(READ, 0, i, i * 8, 0, -1, i)
         batch = b.build()
         assert len(batch) == 1000
         assert batch.addr[999] == 999 * 8
@@ -44,14 +44,6 @@ class TestBuilder:
         b = TraceBuilder()
         assert b.intern_var("x") == b.intern_var("x")
         assert b.intern_var("y") != b.intern_var("x")
-
-    def test_intern_ctx(self):
-        b = TraceBuilder()
-        c1 = b.intern_ctx((100, 200))
-        c2 = b.intern_ctx((100, 200))
-        c3 = b.intern_ctx((100,))
-        assert c1 == c2 != c3
-        assert b.ctx_stacks[c3] == (100,)
 
     def test_extend_columns_bulk(self):
         b = TraceBuilder()
@@ -77,13 +69,13 @@ class TestBuilder:
 
     def test_extend_then_append_interleave(self):
         b = TraceBuilder(capacity=2)
-        b.append(WRITE, 0, 1, 8, 0, -1, 0, -1)
+        b.append(WRITE, 0, 1, 8, 0, -1, 0)
         b.extend_columns(
             kind=np.full(10, READ, dtype=np.uint8),
             addr=np.arange(10, dtype=np.int64),
             ts=np.arange(1, 11, dtype=np.int64),
         )
-        b.append(WRITE, 0, 2, 16, 0, -1, 11, -1)
+        b.append(WRITE, 0, 2, 16, 0, -1, 11)
         batch = b.build()
         assert len(batch) == 12
         assert batch.kind[0] == WRITE and batch.kind[11] == WRITE
@@ -104,13 +96,12 @@ class TestAppendRows:
         batch = b.build()
         assert batch.loc.tolist() == [-1, -1, -1]
         assert batch.var.tolist() == [-1, -1, -1]
-        assert batch.ctx.tolist() == [-1, -1, -1]
         assert batch.aux.tolist() == [0, 0, 0]
         assert batch.ts.tolist() == [0, 1, 2]
 
     def test_default_ts_continues_monotone_after_append(self):
         b = TraceBuilder()
-        b.append(WRITE, 0, 1, 8, 0, -1, 0, -1)
+        b.append(WRITE, 0, 1, 8, 0, -1, 0)
         b.append_rows(3, kind=READ)
         assert b.build().ts.tolist() == [0, 1, 2, 3]
 
@@ -142,7 +133,7 @@ class TestAppendRows:
         assert batch.addr[999] == 999 * 8
 
     def test_matches_per_row_appends(self):
-        rows = [(READ, 0, 10, 8 * i, i, 1, i, 0) for i in range(50)]
+        rows = [(READ, 0, 10, 8 * i, i, 1, i) for i in range(50)]
         a = TraceBuilder()
         for r in rows:
             a.append(*r)
@@ -156,10 +147,9 @@ class TestAppendRows:
             aux=np.arange(50, dtype=np.int64),
             var=1,
             ts=np.arange(50, dtype=np.int64),
-            ctx=0,
         )
         one, two = a.build(), bb.build()
-        for name in ("kind", "tid", "loc", "addr", "aux", "var", "ts", "ctx"):
+        for name in ("kind", "tid", "loc", "addr", "aux", "var", "ts"):
             assert np.array_equal(getattr(one, name), getattr(two, name))
 
 
@@ -174,13 +164,12 @@ class TestBatch:
                 aux=np.zeros(2, dtype=np.int64),
                 var=np.zeros(2, dtype=np.int32),
                 ts=np.zeros(2, dtype=np.int64),
-                ctx=np.zeros(2, dtype=np.int32),
             )
 
     def test_access_mask_excludes_control_events(self):
         b = TraceBuilder()
-        b.append(LOOP_ENTER, 0, 5, 5, 0, -1, 0, 0)
-        b.append(READ, 0, 6, 0x10, 0, -1, 1, 0)
+        b.append(LOOP_ENTER, 0, 5, 5, 0, -1, 0)
+        b.append(READ, 0, 6, 0x10, 0, -1, 1)
         batch = b.build()
         assert batch.access_mask().tolist() == [False, True]
         assert batch.n_accesses == 1

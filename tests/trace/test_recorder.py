@@ -58,37 +58,6 @@ class TestLoopTracking:
         exit_row = kinds.index(LOOP_EXIT)
         assert batch.aux[exit_row] == 3  # iterations executed, Fig. 1 "END loop 1200"
 
-    def test_ctx_interning_tracks_nesting(self):
-        r = TraceRecorder()
-        outer, inner = encode_location(1, 10), encode_location(1, 20)
-        r.read(0x8, loc=1)  # outside any loop
-        r.loop_enter(outer)
-        r.loop_iter(outer)
-        r.read(0x10, loc=2)
-        r.loop_enter(inner)
-        r.loop_iter(inner)
-        r.read(0x18, loc=3)
-        r.loop_exit(inner)
-        r.loop_exit(outer)
-        batch = r.build()
-        reads = batch.kind == READ
-        ctxs = batch.ctx[reads].tolist()
-        assert ctxs[0] == -1
-        assert batch.ctx_stacks[ctxs[1]] == (outer,)
-        assert batch.ctx_stacks[ctxs[2]] == (outer, inner)
-
-    def test_reentering_same_loop_reuses_ctx(self):
-        r = TraceRecorder()
-        site = encode_location(1, 5)
-        for _ in range(2):
-            r.loop_enter(site)
-            r.loop_iter(site)
-            r.read(0x8, loc=6)
-            r.loop_exit(site)
-        batch = r.build()
-        reads = batch.ctx[batch.kind == READ]
-        assert reads[0] == reads[1]
-
     def test_mismatched_loop_exit_raises(self):
         r = TraceRecorder()
         r.loop_enter(100)
@@ -115,13 +84,15 @@ class TestLoopTracking:
         r.loop_iter(s2, tid=2)
         r.read(0x8, loc=3, tid=1)
         r.read(0x10, loc=4, tid=2)
-        r.loop_exit(s1, tid=1)
+        r.loop_exit(s1, tid=1)  # each thread exits its own innermost loop
         r.loop_exit(s2, tid=2)
         batch = r.build()
-        reads = batch.kind == READ
-        c1, c2 = batch.ctx[reads].tolist()
-        assert batch.ctx_stacks[c1] == (s1,)
-        assert batch.ctx_stacks[c2] == (s2,)
+        iters = batch.kind == LOOP_ITER
+        assert batch.tid[iters].tolist() == [1, 2]
+        assert batch.addr[iters].tolist() == [s1, s2]
+        assert batch.aux[iters].tolist() == [0, 0]  # per-thread counters
+        exits = batch.kind == LOOP_EXIT
+        assert batch.aux[exits].tolist() == [1, 1]
 
 
 class TestThreadLifecycle:

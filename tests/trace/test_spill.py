@@ -1,5 +1,7 @@
 """mmap trace spill tier: format, streaming writes, zero-copy transport."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -29,12 +31,11 @@ def small_batch(n=64):
             aux=0,
             var=i % 3,
             ts=i,
-            ctx=-1,
         )
     return b.build()
 
 
-COLUMNS = ("kind", "tid", "loc", "addr", "aux", "var", "ts", "ctx")
+COLUMNS = ("kind", "tid", "loc", "addr", "aux", "var", "ts")
 
 
 class TestSpillFormat:
@@ -49,6 +50,23 @@ class TestSpillFormat:
             )
         assert sp.var_names == batch.var_names
         assert sp.file_names == batch.file_names
+
+    def test_legacy_spill_with_ctx_column_opens(self, tmp_path):
+        """Spill directories from older writers hold a ``ctx.bin`` column
+        and a ``ctx_stacks`` table; both are ignored on open."""
+        batch = small_batch()
+        path = tmp_path / "legacy.trace.spill"
+        spill_batch(batch, path)
+        np.full(len(batch), -1, dtype=np.int32).tofile(path / "ctx.bin")
+        meta = json.loads((path / "meta.json").read_text())
+        meta["columns"]["ctx"] = np.dtype(np.int32).str
+        meta["ctx_stacks"] = []
+        (path / "meta.json").write_text(json.dumps(meta))
+        sp = open_spill(path)
+        for name in COLUMNS:
+            assert np.array_equal(
+                np.asarray(getattr(sp, name)), np.asarray(getattr(batch, name))
+            )
 
     def test_segmented_writes_concatenate(self, tmp_path):
         batch = small_batch(10)

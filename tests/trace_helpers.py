@@ -10,9 +10,9 @@
     ("Li", line)                 loop iteration start
     ("L-", line)                 loop exit
     ("tid", t)                   switch current thread for subsequent ops
-    ("rd", addr, line)           *delayed* read: takes its timestamp and loop
-    ("wd", addr, line)           context now, is pushed at the next ("push",)
-                                 of its thread (var optional 4th field)
+    ("rd", addr, line)           *delayed* read: takes its timestamp now, is
+    ("wd", addr, line)           pushed at the next ("push",) of its thread
+                                 (var optional 4th field)
     ("push",)                    push the current thread's delayed accesses
 
 Delayed accesses model the multithreaded push semantics of Section V: the
@@ -78,7 +78,6 @@ def seq_trace(ops, file_name: str = "test.c") -> TraceBatch:
                         var=var,
                         tid=tid,
                         ts=r.next_ts(),
-                        ctx=r.current_ctx(tid),
                     ),
                 )
             )

@@ -31,7 +31,7 @@ class TestDiskCache:
         snap = reg2.snapshot()["counters"]
         assert snap.get('producer.trace_cache_hits{layer="disk"}') == 1
         assert _counter_total(reg2, "producer.trace_cache_misses") == 0
-        for name in ("kind", "tid", "loc", "addr", "aux", "var", "ts", "ctx"):
+        for name in ("kind", "tid", "loc", "addr", "aux", "var", "ts"):
             assert np.array_equal(getattr(batch, name), getattr(again, name))
         assert again.var_names == batch.var_names
         clear_trace_cache()
