@@ -96,22 +96,32 @@ def test_reference_engine_benchmarked(benchmark):
 
 
 def _worker_chunk_run(batch, engine, chunk_size):
-    """One pipeline Worker fed the whole trace in chunks — the quantity
-    the processes mode actually parallelizes."""
+    """One worker's chunk stream over the whole trace — the quantity the
+    processes mode actually parallelizes.  ``"vectorized"`` feeds a
+    pipeline Worker (its chunk kernel); ``"reference"`` drives the
+    reference engine over the same chunks, as the differential tests do."""
     import numpy as np
 
+    from repro.core import ReferenceEngine
     from repro.parallel.worker import Worker
+    from repro.sigmem import PerfectSignature
 
-    cfg = PERFECT.with_(workers=1, chunk_size=chunk_size, worker_engine=engine)
-    worker = Worker(0, cfg)
+    cfg = PERFECT.with_(workers=1, chunk_size=chunk_size)
     rows = np.arange(len(batch), dtype=np.int64)
-    for seq, s in enumerate(range(0, len(rows), chunk_size)):
-        worker.process_rows(batch, rows[s : s + chunk_size], seq=seq)
+    chunks = [rows[s : s + chunk_size] for s in range(0, len(rows), chunk_size)]
+    if engine == "reference":
+        ref = ReferenceEngine(cfg, PerfectSignature(), PerfectSignature())
+        for chunk in chunks:
+            ref.process(batch.select(chunk))
+        return ref
+    worker = Worker(0, cfg)
+    for seq, chunk in enumerate(chunks):
+        worker.process_rows(batch, chunk, seq=seq)
     return worker
 
 
 def test_vectorized_worker_kernel_speedup(benchmark, big_trace, bench_record):
-    """The incremental chunk kernel must beat the per-event reference worker
+    """The incremental chunk kernel must beat the per-event reference engine
     by >=5x on identical chunk streams — the margin that makes the
     processes-mode fan-out worth its transport overhead."""
     chunk_size = 8192

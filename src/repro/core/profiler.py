@@ -19,6 +19,8 @@ gauges for the run; with no registry the engines run uninstrumented.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from repro.common.config import ProfilerConfig
 from repro.common.errors import ProfilerError
 from repro.core.reference import ReferenceEngine
@@ -47,29 +49,20 @@ def make_trackers(
     """
     if config.perfect_signature:
         return PerfectSignature(), PerfectSignature()
-    if registry is not None:
-        return (
-            ArraySignature(
-                config.signature_slots,
-                config.hash_salt,
-                eviction_counter=registry.counter("sigmem.evictions", kind="read"),
-                track_conflicts=track_conflicts,
+
+    def signature(kind: str) -> ArraySignature:
+        return ArraySignature(
+            config.signature_slots,
+            config.hash_salt,
+            eviction_counter=(
+                registry.counter("sigmem.evictions", kind=kind)
+                if registry is not None
+                else None
             ),
-            ArraySignature(
-                config.signature_slots,
-                config.hash_salt,
-                eviction_counter=registry.counter("sigmem.evictions", kind="write"),
-                track_conflicts=track_conflicts,
-            ),
+            track_conflicts=track_conflicts,
         )
-    return (
-        ArraySignature(
-            config.signature_slots, config.hash_salt, track_conflicts=track_conflicts
-        ),
-        ArraySignature(
-            config.signature_slots, config.hash_salt, track_conflicts=track_conflicts
-        ),
-    )
+
+    return signature("read"), signature("write")
 
 
 class DependenceProfiler:
@@ -85,9 +78,10 @@ class DependenceProfiler:
         if engine not in ENGINES:
             raise ProfilerError(f"unknown engine {engine!r}; pick from {ENGINES}")
         self.config = config if config is not None else ProfilerConfig()
-        # Per-dependence attribution needs the event-at-a-time engine (the
-        # vectorized kernel never materialises individual instances), so a
-        # collector silently selects "reference".
+        # One-shot provenance runs on the reference engine, whose
+        # signatures carry the conflict tracking it reports (the pipeline's
+        # chunk kernel records provenance itself), so a collector selects
+        # "reference".
         self.engine_name = "reference" if provenance is not None else engine
         self.registry = registry
         self.provenance = provenance
@@ -95,41 +89,33 @@ class DependenceProfiler:
     def profile(self, batch: TraceBatch) -> ProfileResult:
         """Run the configured engine over ``batch`` and return the result."""
         reg = self.registry
-        prov = self.provenance
-        if reg is None:
-            # Uninstrumented fast path — identical to the seed behaviour.
-            if self.engine_name == "vectorized":
-                return ChunkKernel.one_shot(self.config).run(batch)
-            read_tracker, write_tracker = make_trackers(
-                self.config, track_conflicts=prov is not None
-            )
-            return ReferenceEngine(
-                self.config, read_tracker, write_tracker, provenance=prov
-            ).run(batch)
-
-        with reg.span("engine", engine=self.engine_name):
+        span = (
+            reg.span("engine", engine=self.engine_name)
+            if reg is not None
+            else nullcontext()
+        )
+        with span:
             if self.engine_name == "vectorized":
                 result = ChunkKernel.one_shot(self.config).run(batch)
             else:
+                prov = self.provenance
                 read_tracker, write_tracker = make_trackers(
                     self.config, reg, track_conflicts=prov is not None
                 )
                 result = ReferenceEngine(
                     self.config, read_tracker, write_tracker, provenance=prov
                 ).run(batch)
-                reg.gauge_fn("sigmem.occupied", read_tracker.occupied, kind="read")
-                reg.gauge_fn(
-                    "sigmem.occupied", write_tracker.occupied, kind="write"
-                )
-                if isinstance(read_tracker, ArraySignature):
-                    reg.gauge_fn(
-                        "sigmem.fill_ratio", read_tracker.fill_ratio, kind="read"
-                    )
-                    reg.gauge_fn(
-                        "sigmem.fill_ratio",
-                        write_tracker.fill_ratio,
-                        kind="write",
-                    )
+                if reg is not None:
+                    pair = (("read", read_tracker), ("write", write_tracker))
+                    for kind, tracker in pair:
+                        reg.gauge_fn("sigmem.occupied", tracker.occupied, kind=kind)
+                    if isinstance(read_tracker, ArraySignature):
+                        for kind, tracker in pair:
+                            reg.gauge_fn(
+                                "sigmem.fill_ratio", tracker.fill_ratio, kind=kind
+                            )
+        if reg is None:
+            return result
         result.stats.publish(reg)
         reg.gauge("engine.unique_addresses").set(result.stats.n_unique_addresses)
         reg.gauge("deps.merged_entries").set(result.store.n_entries)

@@ -22,6 +22,7 @@ from repro.core.controlflow import LoopStateIndex, extract_loop_info
 from repro.core.deps import DepType, Dependence, DependenceStore
 from repro.core.result import ProfileResult, ProfileStats
 from repro.core.reference import ACCESS_GRANULARITY
+from repro.obs.provenance import ProvenanceCollector
 from repro.sigmem.planes import DenseKeySpace, DensePlaneTracker
 from repro.trace import FREE, READ, WRITE, TraceBatch
 
@@ -30,25 +31,57 @@ _WRITE_CAT = 1
 _KILL_CAT = 2
 
 
-def _unique_rows(cols: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Row-level ``np.unique(..., return_counts=True)`` over parallel columns.
+def _group_rows(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sort order and group starts of equal rows over parallel columns.
 
     ``np.unique(matrix, axis=0)`` sorts 64-byte void records with memcmp —
     an order of magnitude slower than a lexsort over the int64 columns,
-    which dominates this engine's runtime on merge-heavy traces.
+    which dominates this engine's runtime on merge-heavy traces.  Rows
+    ``order[starts[g]:starts[g + 1]]`` are the members of group ``g``.
     """
     n = len(cols[0])
     if n == 0:
-        return [c[:0] for c in cols], np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     order = np.lexsort(cols[::-1])
-    sorted_cols = [c[order] for c in cols]
     change = np.zeros(n, dtype=bool)
     change[0] = True
-    for c in sorted_cols:
-        change[1:] |= c[1:] != c[:-1]
-    starts = np.flatnonzero(change)
-    counts = np.diff(np.append(starts, n))
-    return [c[starts] for c in sorted_cols], counts
+    for c in cols:
+        s = c[order]
+        change[1:] |= s[1:] != s[:-1]
+    return order, np.flatnonzero(change)
+
+
+def _conflict_flags(
+    tracker,
+    inserts: np.ndarray,
+    has: np.ndarray,
+    prev: np.ndarray,
+    ukey: np.ndarray,
+    grp: np.ndarray,
+    starts: np.ndarray,
+    addr: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ArraySignature(track_conflicts=True)``'s rules over sorted rows.
+
+    For a sink reading ``tracker`` the source is *suspect* when the slot's
+    record belongs to another address, when the slot carried an eviction
+    in, or when an earlier insert of this chunk into the slot evicted
+    (kills do not reset the bit).  An insert *evicts* when the slot holds
+    another address's record.  ``has``/``prev`` say whether a record is
+    present before each row and which in-chunk row wrote it; otherwise it
+    is the carried-in record, whose owner the tracker's plane holds.
+    Returns the per-row suspect mask and the evicting insert rows.
+    """
+    owner, evicted = tracker.conflict_state(ukey)
+    inside = prev >= 0
+    src_addr = np.where(inside, addr[np.where(inside, prev, 0)], owner[grp])
+    foreign = has & (addr != src_addr)
+    evict = inserts & foreign
+    # Evictions strictly before each row within its key group.
+    before = np.cumsum(evict, dtype=np.int64)
+    before -= evict
+    before -= before[starts][grp]
+    return foreign | evicted[grp] | (before > 0), evict
 
 
 def _segment_prev(
@@ -120,10 +153,19 @@ class ChunkKernel:
     of those steps mirrors a reference-engine rule, including the push-order
     loop-frame semantics of delayed pushes (Section V).
 
-    The interface matches what :class:`~repro.parallel.worker.Worker` and
-    the pipeline expect of an engine: ``store``, ``stats``,
-    ``read_tracker``/``write_tracker``, plus :meth:`process_rows` in place
-    of the reference engine's ``process``.
+    With a :class:`~repro.obs.provenance.ProvenanceCollector` attached it
+    also records what the reference engine's per-instance notes record:
+    each merged dependence of a chunk is noted once with its instance
+    count, first/last sink timestamp and ``suspect_fp``, reduced over the
+    groups the dedup already forms.  Over slot planes with conflict
+    tracking, step 5 additionally derives ``ArraySignature``'s suspect
+    sources and hash-conflict evictions (:func:`_conflict_flags`), which
+    the planes turn into evicted bits, ``sigmem.evictions`` and conflict
+    heat.  Without a collector the hot path pays one ``is None`` test per
+    emitted dependence type.
+
+    :class:`~repro.parallel.worker.Worker` drives it through ``store``,
+    ``stats``, ``read_tracker``/``write_tracker`` and :meth:`process_rows`.
     """
 
     def __init__(
@@ -133,6 +175,7 @@ class ChunkKernel:
         write_tracker,
         store: DependenceStore | None = None,
         heat=None,
+        provenance: "ProvenanceCollector | None" = None,
     ) -> None:
         if type(read_tracker) is not type(write_tracker):
             raise ProfilerError("read/write plane trackers must match")
@@ -143,6 +186,13 @@ class ChunkKernel:
         #: Fed inline from the masks the kernel computes anyway, so heat
         #: recording never re-derives the access split per chunk.
         self.heat = heat
+        #: Optional per-dependence attribution collector: every merged
+        #: dependence of a chunk is noted with its instance count, sink
+        #: timestamp window and suspect-source verdict.
+        self.provenance = provenance
+        #: Lossy planes with conflict tracking: derive suspect sources and
+        #: hash-conflict evictions (see :func:`_conflict_flags`).
+        self._track_conflicts = read_tracker.tracks_conflicts
         self.store = store if store is not None else DependenceStore()
         self.stats = ProfileStats()
         #: Push-order loop-frame snapshots for the batch being profiled.
@@ -287,6 +337,20 @@ class ChunkKernel:
         has_w = (prev_w >= 0) | (first_seg & carry_w[0][grp])
         has_r = (prev_r >= 0) | (first_seg & carry_r[0][grp])
 
+        # -- signature conflicts: suspect sources + evictions ----------------
+        suspect_r = suspect_w = None
+        if self._track_conflicts:
+            addr = batch.addr[pos].astype(np.int64, copy=False)
+            suspect_r, evict_r = _conflict_flags(
+                self.read_tracker, read_rows, has_r, prev_r, ukey, grp, starts, addr
+            )
+            suspect_w, evict_w = _conflict_flags(
+                self.write_tracker, write_rows, has_w, prev_w, ukey, grp, starts, addr
+            )
+            self.read_tracker.note_evictions(key[evict_r], addr[evict_r])
+            self.write_tracker.note_evictions(key[evict_w], addr[evict_w])
+            del addr, evict_r, evict_w
+
         def sources(sel, prev, carry):
             """``(loc, var, tid, ts)`` of each selected row's source: the
             previous in-chunk access, else the key's carried-in record."""
@@ -303,14 +367,16 @@ class ChunkKernel:
         init_mask = write_rows & ~has_w
         waw_mask = write_rows & has_w
         emit_plan = [
-            (DepType.RAW, read_rows & has_w, prev_w, carry_w),
-            (DepType.WAR, waw_mask & has_r, prev_r, carry_r),
-            (DepType.WAW, waw_mask, prev_w, carry_w),
+            (DepType.RAW, read_rows & has_w, prev_w, carry_w, suspect_w),
+            (DepType.WAR, waw_mask & has_r, prev_r, carry_r, suspect_r),
+            (DepType.WAW, waw_mask, prev_w, carry_w, suspect_w),
         ]
         if not cfg.ignore_rar:
-            emit_plan.append((DepType.RAR, read_rows & has_r, prev_r, carry_r))
+            emit_plan.append(
+                (DepType.RAR, read_rows & has_r, prev_r, carry_r, suspect_r)
+            )
         loop_index = self._loop_index_for(batch)
-        for dep_type, mask, prev, carry in emit_plan:
+        for dep_type, mask, prev, carry, suspect in emit_plan:
             sel = np.flatnonzero(mask)
             stats.dep_instances[dep_type] += len(sel)
             if len(sel) == 0:
@@ -327,24 +393,31 @@ class ChunkKernel:
                 src_var=s_var,
                 src_ts=s_ts,
                 loop_index=loop_index,
+                suspect=suspect,
+                sel=sel,
             )
 
         init_rows = np.flatnonzero(init_mask)
         stats.dep_instances[DepType.INIT] += len(init_rows)
         if len(init_rows):
-            (u_loc, u_tid), counts = _unique_rows([loc[init_rows], tid[init_rows]])
-            for s_loc, s_tid, c in zip(u_loc, u_tid, counts):
-                self.store.add_merged(
-                    Dependence(
-                        DepType.INIT,
-                        sink_loc=int(s_loc),
-                        sink_tid=int(s_tid),
-                        source_loc=-1,
-                        source_tid=-1,
-                        var=-1,
-                    ),
-                    count=int(c),
+            i_loc = loc[init_rows]
+            i_tid = tid[init_rows]
+            order, g_starts = _group_rows([i_loc, i_tid])
+            heads = order[g_starts]
+            deps = [
+                Dependence(
+                    DepType.INIT,
+                    sink_loc=s_loc,
+                    sink_tid=s_tid,
+                    source_loc=-1,
+                    source_tid=-1,
+                    var=-1,
                 )
+                for s_loc, s_tid in zip(
+                    i_loc[heads].tolist(), i_tid[heads].tolist()
+                )
+            ]
+            self._merge_groups(deps, order, g_starts, ts[init_rows])
 
         # -- carry-out: scatter each key's end-of-chunk state --------------
         # The surviving record per key is the last read/write *after the
@@ -395,8 +468,14 @@ class ChunkKernel:
         src_var: np.ndarray,
         src_ts: np.ndarray,
         loop_index: "LoopStateIndex",
+        suspect: np.ndarray | None = None,
+        sel: np.ndarray | None = None,
     ) -> None:
-        """Carried classification + dedup + bulk store merge for one type."""
+        """Carried classification + dedup + bulk store merge for one type.
+
+        ``suspect`` is the chunk's per-row suspect mask (``None`` without
+        conflict tracking) and ``sel`` the rows this type's sinks sit on.
+        """
         race = src_ts > sink_ts
         self.stats.races_flagged += int(np.count_nonzero(race))
         depth = loop_index.depth
@@ -411,24 +490,58 @@ class ChunkKernel:
                     m = sink_tid == t
                     carried[m] = loop_index.carried_sites(t, sink_pos[m], src_ts[m])
             cols.extend(carried[:, lvl] for lvl in range(depth))
-        uniq, counts = _unique_rows(cols)
-        store = self.store
-        for row, c in zip(zip(*uniq), counts):
-            s_loc, s_tid, p_loc, p_tid, p_var, is_race = (int(x) for x in row[:6])
-            sites = frozenset(int(s) for s in row[6:] if s >= 0)
-            store.add_merged(
-                Dependence(
-                    dep_type,
-                    sink_loc=s_loc,
-                    sink_tid=s_tid,
-                    source_loc=p_loc,
-                    source_tid=p_tid,
-                    var=p_var,
-                    carried=sites,
-                    race=bool(is_race),
-                ),
-                count=int(c),
+        order, starts = _group_rows(cols)
+        heads = order[starts]
+        uniq = [c[heads].tolist() for c in cols]
+        if depth:
+            sites = [frozenset(s for s in row if s >= 0) for row in zip(*uniq[6:])]
+        else:
+            sites = [frozenset()] * len(heads)
+        deps = [
+            Dependence(
+                dep_type,
+                sink_loc=s_loc,
+                sink_tid=s_tid,
+                source_loc=p_loc,
+                source_tid=p_tid,
+                var=p_var,
+                carried=carried_at,
+                race=bool(is_race),
             )
+            for s_loc, s_tid, p_loc, p_tid, p_var, is_race, carried_at in zip(
+                *uniq[:6], sites
+            )
+        ]
+        self._merge_groups(deps, order, starts, sink_ts, suspect, sel)
+
+    def _merge_groups(
+        self,
+        deps: list[Dependence],
+        order: np.ndarray,
+        starts: np.ndarray,
+        sink_ts: np.ndarray,
+        suspect: np.ndarray | None = None,
+        sel: np.ndarray | None = None,
+    ) -> None:
+        """Merge one group per dependence (``_group_rows`` layout) into the
+        store, and into the provenance collector when one is attached."""
+        counts = np.diff(np.append(starts, len(order))).tolist()
+        store = self.store
+        for dep, c in zip(deps, counts):
+            store.add_merged(dep, c)
+        prov = self.provenance
+        if prov is None:
+            return
+        ts = sink_ts[order]
+        first = np.minimum.reduceat(ts, starts).tolist()
+        last = np.maximum.reduceat(ts, starts).tolist()
+        sus = (
+            np.logical_or.reduceat(suspect[sel][order], starts).tolist()
+            if suspect is not None
+            else [False] * len(deps)
+        )
+        for dep, c, f, la, su in zip(deps, counts, first, last, sus):
+            prov.note_many(dep, f, la, c, su)
 
     def _note_memory(self) -> None:
         self.stats.tracker_memory_bytes = (

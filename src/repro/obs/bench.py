@@ -338,7 +338,7 @@ class BenchRecorder:
             out.append(
                 self.record(
                     f"{prefix}.queue_stalls",
-                    pa["push_stalls"] + pa["pop_stalls"],
+                    pa["push_stalls"],
                     unit="stalls", direction="lower",
                 )
             )

@@ -18,8 +18,8 @@ mismatch: bucket ``0`` covers addresses ``[0, 1]``, bucket ``i`` covers
 overflow — 64 buckets total, enough to span any 64-bit address space at
 power-of-two granularity.  Bucket membership is computed with an integer
 ``searchsorted`` (never through float conversion), so an address lands in
-the same bucket on every path, which is what makes the threads-vs-processes
-differential test bit-for-bit.
+the same bucket on every path, which is what makes the
+deterministic-vs-processes differential test bit-for-bit.
 
 The ``sum`` field of the heat histograms is deliberately left at zero:
 summing addresses is meaningless, and a zero sum keeps cross-mode
@@ -101,12 +101,14 @@ class AddressHeatmap:
     """Per-worker address-heat recorder over registry histograms.
 
     One instance per :class:`~repro.parallel.worker.Worker`.  The read and
-    write series are fed from the worker's chunk loop
-    (:meth:`record_batch_rows`), the conflict series from the array
-    signature's eviction hook (:meth:`record_conflict` — wired so it fires
-    on *exactly* the events the ``sigmem.evictions`` counter counts, which
-    is what makes the bucket sums reconcile with the suspect-FP total), and
-    the occupancy series once at publish time (:meth:`record_occupancy`).
+    write series are fed inline by the worker's
+    :class:`~repro.core.vectorized.ChunkKernel` from the access masks it
+    computes anyway (:meth:`record_accesses`), the conflict series from the
+    signature planes' eviction hook on provenance runs
+    (:meth:`record_conflicts` — it fires on *exactly* the events the
+    ``sigmem.evictions`` counter counts, which is what makes the bucket
+    sums reconcile with the eviction total), and the occupancy series once
+    at publish time (:meth:`record_occupancy`).
     """
 
     def __init__(self, registry: MetricsRegistry, worker: int) -> None:
@@ -146,26 +148,14 @@ class AddressHeatmap:
                 counts[i] += int(half[i])
             hist.count += total  # sum stays 0.0 by design
 
-    def record_batch_rows(self, batch: Any, rows: np.ndarray) -> None:
-        """Record the READ/WRITE rows of one chunk of ``batch``.
+    def record_conflicts(self, addrs: np.ndarray) -> None:
+        """Signature hash-conflict evictions, one per *inserted* address.
 
-        ``rows`` may include broadcast rows (FREE, loop markers); only
-        memory accesses contribute heat.
+        Fed by the plane tracker's eviction hook on exactly the events the
+        ``sigmem.evictions`` counter counts, so bucket sums reconcile with
+        the eviction total.
         """
-        from repro.trace import READ, WRITE
-
-        kind = batch.kind[rows]
-        is_read = kind == READ
-        is_write = kind == WRITE
-        acc = is_read | is_write
-        if not acc.any():
-            return
-        self.record_accesses(batch.addr[rows[acc]], is_write[acc])
-
-    def record_conflict(self, addr: int) -> None:
-        """One signature hash-conflict eviction caused by inserting ``addr``."""
-        self._conflicts.counts[bucket_of(addr)] += 1
-        self._conflicts.count += 1
+        _bulk_record(self._conflicts, np.asarray(addrs, dtype=np.int64))
 
     # -- publish-time recording --------------------------------------------
     def record_occupancy(self, addrs: np.ndarray, kind: str) -> None:

@@ -58,7 +58,17 @@ class ProvenanceRecord:
         #: positive) or False if the oracle reproduces it.
         self.oracle_spurious: bool | None = None
 
-    def note(self, worker: int, chunk: int, ts: int, suspect: bool) -> None:
+    def note(
+        self,
+        worker: int,
+        chunk: int,
+        ts: int,
+        suspect: bool,
+        last_ts: int | None = None,
+        count: int = 1,
+    ) -> None:
+        """Fold ``count`` instances seen at sink timestamps ``ts`` ..
+        ``last_ts`` (default ``ts``) into this record."""
         self.workers.add(worker)
         if chunk < self.first_chunk:
             self.first_chunk = chunk
@@ -66,9 +76,10 @@ class ProvenanceRecord:
             self.last_chunk = chunk
         if ts < self.first_ts:
             self.first_ts = ts
-        if ts > self.last_ts:
-            self.last_ts = ts
-        self.count += 1
+        last = ts if last_ts is None else last_ts
+        if last > self.last_ts:
+            self.last_ts = last
+        self.count += count
         self.suspect_fp = self.suspect_fp or suspect
 
     def fold(self, other: "ProvenanceRecord") -> None:
@@ -105,10 +116,12 @@ class ProvenanceRecord:
 class ProvenanceCollector:
     """Per-worker (and merged) provenance map, keyed by dependence record.
 
-    The engine calls :meth:`note` once per dependence *instance*; the
-    worker sets :attr:`chunk` before each chunk so notes are attributed to
-    the chunk being processed.  ``worker=0, chunk=-1`` is the sequential
-    engine's identity (no pipeline).
+    The reference engine calls :meth:`note` once per dependence
+    *instance*, the chunk kernel :meth:`note_many` once per merged
+    dependence of a chunk; the worker sets :attr:`chunk` before each chunk
+    so notes are attributed to the chunk being processed.
+    ``worker=0, chunk=-1`` is the sequential engine's identity (no
+    pipeline).
     """
 
     def __init__(self, worker: int = 0) -> None:
@@ -123,6 +136,27 @@ class ProvenanceCollector:
             self.records[dep] = ProvenanceRecord(self.worker, self.chunk, ts, suspect)
         else:
             rec.note(self.worker, self.chunk, ts, suspect)
+
+    def note_many(
+        self,
+        dep: "Dependence",
+        first_ts: int,
+        last_ts: int,
+        count: int,
+        suspect: bool,
+    ) -> None:
+        """Bulk :meth:`note`: ``count`` instances of ``dep`` in the current
+        chunk, sink timestamps spanning ``first_ts`` .. ``last_ts``, suspect
+        if any instance was (the chunk kernel's per-group reduction)."""
+        rec = self.records.get(dep)
+        if rec is None:
+            rec = self.records[dep] = ProvenanceRecord(
+                self.worker, self.chunk, first_ts, suspect
+            )
+            rec.last_ts = last_ts
+            rec.count = count
+        else:
+            rec.note(self.worker, self.chunk, first_ts, suspect, last_ts, count)
 
     def merge(self, other: "ProvenanceCollector") -> None:
         """Fold another collector in (the pipeline's merge phase)."""

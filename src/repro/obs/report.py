@@ -153,7 +153,6 @@ def _parallel_section(info: "ParallelRunInfo") -> dict[str, Any]:
         "per_worker_chunks": list(info.per_worker_chunks),
         "access_imbalance": info.access_imbalance,
         "push_stalls": info.push_stalls,
-        "pop_stalls": info.pop_stalls,
         "lock_ops": info.lock_ops,
         "rebalance_rounds": info.rebalance_rounds,
         "addresses_migrated": info.addresses_migrated,
@@ -342,7 +341,7 @@ class RunReport:
             lines.append(
                 f"  pipeline: {pa['workers']} workers, {pa['chunks']} chunks, "
                 f"imbalance {pa['access_imbalance']:.2f}, "
-                f"stalls push={pa['push_stalls']} pop={pa['pop_stalls']}, "
+                f"stalls push={pa['push_stalls']}, "
                 f"rebalances {pa['rebalance_rounds']} "
                 f"({pa['addresses_migrated']} addresses moved)"
             )

@@ -146,7 +146,6 @@ def render_top(
             )
 
     stalls_push = sum(_family(counters, "queue.push_stalls").values())
-    stalls_pop = sum(_family(counters, "queue.pop_stalls").values())
     backpressure = sum(
         _family(counters, "pipeline.backpressure_stalls").values()
     )
@@ -158,7 +157,7 @@ def render_top(
     if bank_moves:
         moved += f", {int(bank_moves)} banks"
     lines.append(
-        f"  stalls push={int(stalls_push)} pop={int(stalls_pop)}"
+        f"  stalls push={int(stalls_push)}"
         + (f" backpressure={int(backpressure)}" if backpressure else "")
         + f"  rebalances {int(rounds)} ({moved})  "
         f"evictions {int(evictions)}"

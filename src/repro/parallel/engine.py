@@ -98,7 +98,6 @@ class ParallelRunInfo:
     #: this sequence through its discrete-event pipeline.
     chunk_log: list[tuple[int, int]] = field(default_factory=list)
     push_stalls: int = 0
-    pop_stalls: int = 0
     lock_ops: int = 0
     chunks_allocated: int = 0
     queue_memory_bytes: int = 0
@@ -150,7 +149,6 @@ class ParallelRunInfo:
             banks_migrated=registry.counter("rebalance.bank_moves").value,
             chunk_log=chunk_log,
             push_stalls=registry.sum_counters("queue.push_stalls"),
-            pop_stalls=registry.sum_counters("queue.pop_stalls"),
             lock_ops=registry.sum_counters("queue.lock_ops"),
             chunks_allocated=gauge_value("chunkpool.allocated"),
             queue_memory_bytes=gauge_value("chunkpool.memory_bytes"),
@@ -227,19 +225,16 @@ class ParallelProfiler:
             Worker(w, cfg, reg, provenance=provs[w] if provs is not None else None)
             for w in range(cfg.workers)
         ]
-        vec_workers = [w for w in workers if w.engine_kind == "vectorized"]
-        if vec_workers:
-            # One push-order loop-snapshot index per run, shared by every
-            # in-process vectorized kernel (it is batch-global, read-only).
-            shared_loops = LoopStateIndex(batch)
-            for w in vec_workers:
-                w.engine.bind_loop_index(batch, shared_loops)
+        # One push-order loop-snapshot index per run, shared by every
+        # in-process kernel (it is batch-global, read-only).
+        shared_loops = LoopStateIndex(batch)
+        for worker in workers:
+            worker.engine.bind_loop_index(batch, shared_loops)
         if cfg.lock_free_queues:
             queues: list[SpscRingQueue | LockedQueue] = [
                 SpscRingQueue(
                     cfg.queue_depth,
                     push_stalls=reg.counter("queue.push_stalls", worker=w),
-                    pop_stalls=reg.counter("queue.pop_stalls", worker=w),
                 )
                 for w in range(cfg.workers)
             ]
@@ -248,7 +243,6 @@ class ParallelProfiler:
                 LockedQueue(
                     cfg.queue_depth,
                     push_stalls=reg.counter("queue.push_stalls", worker=w),
-                    pop_stalls=reg.counter("queue.pop_stalls", worker=w),
                     lock_ops_counter=reg.counter("queue.lock_ops", worker=w),
                 )
                 for w in range(cfg.workers)

@@ -1,10 +1,10 @@
-"""Column-plane access trackers for the vectorized worker kernel.
+"""Column-plane access trackers for the vectorized Algorithm-1 kernel.
 
 The scalar trackers (:class:`~repro.sigmem.ArraySignature`,
 :class:`~repro.sigmem.PerfectSignature`) store one boxed record per entry —
 ideal for the event-at-a-time reference engine, hostile to array code.  The
-incremental chunk kernel instead keeps the *same* state as parallel numpy
-planes (``loc``/``var``/``tid``/``ts`` plus a presence mask) indexed by a
+chunk kernel instead keeps the *same* state as parallel numpy planes
+(``loc``/``var``/``tid``/``ts`` plus a presence mask) indexed by a
 *tracking key*, so a whole chunk can gather its carry-in state and scatter
 its carry-out state in a handful of array operations.
 
@@ -12,8 +12,9 @@ Two key spaces mirror the two scalar trackers:
 
 * :class:`SlotPlaneTracker` — keys are hash slots of the paper's array
   signature (same hash, same conflation-on-collision, same removal
-  semantics), so a vectorized worker with ``n`` slots is bit-for-bit
-  equivalent to a reference worker with an ``ArraySignature`` of ``n`` slots.
+  semantics, same eviction and suspect-source rules), so a pipeline worker
+  with ``n`` slots is bit-for-bit equivalent to a reference engine over an
+  ``ArraySignature`` of ``n`` slots.
 * :class:`DensePlaneTracker` — keys are dense indices handed out by a
   :class:`DenseKeySpace` (one per kernel, shared by its read and write
   planes so both sides agree on every key).  Over raw addresses it is
@@ -28,18 +29,35 @@ Every tracker derives the keys a FREE kills (:meth:`kill_keys`) itself and
 reuses that derivation in ``remove_range``, so the kernel never needs to
 know which key space it runs over.
 
-Both implement the full :class:`~repro.sigmem.AccessTracker` protocol, so
+Both implement the :class:`~repro.sigmem.AccessTracker` protocol, so
 signature migration during load balancing and the sampler's occupancy/fill
-gauges work unchanged.
+gauges work unchanged.  Built with a :class:`~repro.sigmem.BankGeometry`
+they also speak the *bank protocol* — per-bank occupancy
+(``bank_occupancy``) and bank-granularity state migration
+(``export_bank`` / ``import_bank``) — which lets the load balancer move a
+hot address range between workers with its signature state instead of
+dropping it.
 """
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 import numpy as np
 
-from repro.sigmem.banks import BankGeometry, slots_payload
+from repro.sigmem.banks import BankGeometry, records_payload, slots_payload
 from repro.sigmem.hashing import hash_address, hash_addresses
 from repro.sigmem.signature import SLOT_BYTES, AccessRecord, AccessTracker
+
+
+def _require_geometry(tracker: Any) -> BankGeometry:
+    geo = tracker.bank_geometry
+    if geo is None:
+        raise ValueError(
+            f"{type(tracker).__name__} was built without a BankGeometry; "
+            "bank operations need config.signature_banks > 0"
+        )
+    return geo
 
 
 class _PlaneStore:
@@ -139,18 +157,24 @@ class SlotPlaneTracker(AccessTracker):
     Identical observable behaviour to :class:`~repro.sigmem.ArraySignature`:
     colliding addresses overwrite one another, ``remove`` clears the slot
     regardless of owner, and ``remove_range`` clears the slots of every
-    stride-aligned address in the range.  Eviction telemetry
-    (``sigmem.evictions`` / conflict tracking) is not maintained — that is a
-    per-insert observation the batch kernel cannot afford; runs that need it
-    use the reference worker engine.
+    stride-aligned address in the range.
 
     With ``track_addrs`` an extra owner-address plane records which address
     last wrote each slot, enabling end-of-run occupancy attribution
     (:meth:`occupied_addrs`) at the cost of one extra scatter per carry-out.
 
+    With ``track_conflicts`` (dependence provenance) the tracker also keeps
+    an evicted-bit plane — the plane form of ``ArraySignature``'s
+    ``track_conflicts`` — so the kernel can flag suspect sources and count
+    hash-conflict evictions.  An eviction is an insert into an occupied
+    slot owned by a different address; the kernel detects them in bulk and
+    reports them through :meth:`note_evictions`, the scalar :meth:`insert`
+    (signature migration) applies the same rule, and :meth:`import_bank`
+    counts none.  ``on_evict`` receives the evicting addresses (eviction
+    counters, conflict heat).
+
     With a ``geometry`` the slot planes are sharded into per-address-range
-    banks exactly as :class:`~repro.sigmem.ArraySignature` banks its slot
-    list (``key = bank * bank_slots + h(addr) % bank_slots``), so a bank is
+    banks (``key = bank * bank_slots + h(addr) % bank_slots``), so a bank is
     one contiguous plane slice and :meth:`export_bank`/:meth:`import_bank`
     move it with a handful of array ops.  Banking implies the owner-address
     plane — the payload must carry owners so the importer's attribution
@@ -163,6 +187,8 @@ class SlotPlaneTracker(AccessTracker):
         salt: int = 0,
         track_addrs: bool = False,
         geometry: BankGeometry | None = None,
+        track_conflicts: bool = False,
+        on_evict: Callable[[np.ndarray], None] | None = None,
     ) -> None:
         if n_slots <= 0:
             raise ValueError("n_slots must be positive")
@@ -175,11 +201,20 @@ class SlotPlaneTracker(AccessTracker):
         )
         self.salt = int(salt)
         self._store = _PlaneStore(self.n_slots)
-        if geometry is not None:
+        if geometry is not None or track_conflicts:
             track_addrs = True
         self._addrs: np.ndarray | None = (
             np.zeros(self.n_slots, dtype=np.int64) if track_addrs else None
         )
+        self._evicted: np.ndarray | None = (
+            np.zeros(self.n_slots, dtype=bool) if track_conflicts else None
+        )
+        self.on_evict = on_evict
+
+    @property
+    def tracks_conflicts(self) -> bool:
+        """True when the kernel must derive suspect sources and evictions."""
+        return self._evicted is not None
 
     @property
     def wants_addrs(self) -> bool:
@@ -216,12 +251,36 @@ class SlotPlaneTracker(AccessTracker):
     def clear_keys(self, keys: np.ndarray) -> None:
         self._store.clear_keys(keys)
 
+    # -- conflict tracking (provenance) -------------------------------------
+    def conflict_state(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Owner address and evicted bit per key (``track_conflicts`` only)."""
+        assert self._addrs is not None and self._evicted is not None
+        return self._addrs[keys], self._evicted[keys]
+
+    def note_evictions(self, keys: np.ndarray, addrs: np.ndarray) -> None:
+        """Record evictions: inserts of ``addrs`` that displaced another
+        address's record in slots ``keys``."""
+        if len(keys) == 0:
+            return
+        self._evicted[keys] = True  # type: ignore[index]
+        if self.on_evict is not None:
+            self.on_evict(addrs)
+
     # -- AccessTracker protocol --------------------------------------------
     def insert(self, addr: int, record: AccessRecord) -> None:
         key = self.key_of(addr)
+        owners = self._addrs
+        if (
+            self._evicted is not None
+            and self._store._present[key]
+            and owners[key] != addr  # type: ignore[index]
+        ):
+            self.note_evictions(
+                np.array([key], dtype=np.int64), np.array([addr], dtype=np.int64)
+            )
         self._store.put(key, record)
-        if self._addrs is not None:
-            self._addrs[key] = addr
+        if owners is not None:
+            owners[key] = addr
 
     def lookup(self, addr: int) -> AccessRecord | None:
         return self._store.get(self.key_of(addr))
@@ -240,6 +299,8 @@ class SlotPlaneTracker(AccessTracker):
 
     def clear(self) -> None:
         self._store.wipe()
+        if self._evicted is not None:
+            self._evicted[:] = False
 
     def occupied(self) -> int:
         return self._store._filled
@@ -271,7 +332,7 @@ class SlotPlaneTracker(AccessTracker):
 
     def export_bank(self, bank: int) -> dict:
         """Extract-and-clear one bank: a contiguous plane slice, vectorized."""
-        geo = self._require_geometry()
+        geo = _require_geometry(self)
         if not (0 <= bank < geo.n_banks):
             raise ValueError(f"bank {bank} out of range [0, {geo.n_banks})")
         base = bank * self.bank_slots
@@ -294,7 +355,7 @@ class SlotPlaneTracker(AccessTracker):
 
     def import_bank(self, payload: dict) -> None:
         """Merge a bank payload, newest access winning per slot."""
-        geo = self._require_geometry()
+        geo = _require_geometry(self)
         if payload["format"] != "slots":
             raise ValueError(
                 f"{type(self).__name__} imports slots-format bank payloads, "
@@ -424,10 +485,13 @@ class DensePlaneTracker(AccessTracker):
     touched slots are resident.
 
     Dense keys have no bank structure, so a ``geometry`` enables the
-    *generic* record-format bank protocol from the base class: exports are
-    exact per-address payloads recovered through the key space's inverse
-    map, imports re-insert newest-wins (raw-address key spaces only).
+    record-format bank protocol: exports are exact per-address payloads
+    recovered through the key space's inverse map, imports re-insert
+    newest-wins (raw-address key spaces only).  Exact tracking never
+    conflates, so it never reports a conflict.
     """
+
+    tracks_conflicts = False
 
     def __init__(
         self, space: DenseKeySpace, geometry: BankGeometry | None = None
@@ -507,3 +571,64 @@ class DensePlaneTracker(AccessTracker):
         if self.space.n_slots is not None:
             return self.space.n_slots * SLOT_BYTES
         return 64 + self._store._filled * 88
+
+    # -- bank protocol (record format) --------------------------------------
+    def bank_occupancy(self) -> np.ndarray | None:
+        """Live-entry count per bank, binned from the owner addresses."""
+        geo = self.bank_geometry
+        if geo is None:
+            return None
+        addrs = self.occupied_addrs()
+        if addrs is None:
+            return None
+        return np.bincount(geo.banks_of(addrs), minlength=geo.n_banks)
+
+    def export_bank(self, bank: int) -> dict[str, Any]:
+        """Extract *and clear* every live address of one bank, with its
+        full payload, so migration is lossless."""
+        geo = _require_geometry(self)
+        addrs = self.occupied_addrs()
+        if addrs is None:
+            raise ValueError(
+                "a hashed DenseKeySpace cannot export banks: owner addresses "
+                "are unknown"
+            )
+        sel = addrs[geo.banks_of(addrs) == bank]
+        n = len(sel)
+        loc = np.empty(n, dtype=np.int64)
+        var = np.empty(n, dtype=np.int64)
+        tid = np.empty(n, dtype=np.int64)
+        ts = np.empty(n, dtype=np.int64)
+        for j, addr in enumerate(sel.tolist()):
+            rec = self.lookup(addr)
+            assert rec is not None  # it came from occupied_addrs
+            loc[j], var[j], tid[j], ts[j] = rec
+            self.remove(addr)
+        return records_payload(bank, sel, loc, var, tid, ts)
+
+    def import_bank(self, payload: dict[str, Any]) -> None:
+        """Merge an exported bank (newest access wins).
+
+        Several source workers may export the same bank (its addresses were
+        modulo-spread before the first bank rule); the per-address
+        ts-compare keeps exactly the record Algorithm 1 would have kept had
+        the bank lived here all along.
+        """
+        _require_geometry(self)
+        if payload["format"] != "records":
+            raise ValueError(
+                f"{type(self).__name__} imports record-format bank payloads, "
+                f"got {payload['format']!r}"
+            )
+        loc, var, tid, ts = (
+            payload["loc"], payload["var"], payload["tid"], payload["ts"],
+        )
+        for j, addr in enumerate(payload["addrs"].tolist()):
+            mine = self.lookup(addr)
+            if mine is None or mine.ts < int(ts[j]):
+                self.insert(
+                    addr,
+                    AccessRecord(
+                        int(loc[j]), int(var[j]), int(tid[j]), int(ts[j])
+                    ),
+                )

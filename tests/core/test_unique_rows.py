@@ -1,10 +1,18 @@
-"""Property test for the lexsort-based row dedup inside the vectorized
-engine — it must agree with numpy's reference implementation exactly."""
+"""Property test for the lexsort-based row grouping inside the vectorized
+engine — the groups it forms must agree with numpy's reference
+implementation of row dedup exactly."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.vectorized import _unique_rows
+from repro.core.vectorized import _group_rows
+
+
+def _unique_rows(cols):
+    """Row-level ``np.unique(..., return_counts=True)`` from the groups."""
+    order, starts = _group_rows(cols)
+    heads = order[starts]
+    return [c[heads] for c in cols], np.diff(np.append(starts, len(order)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -78,10 +78,11 @@ class TestRecording:
         assert all(isinstance(c, int) for c in r.counts)  # JSON-clean
 
     def test_conflicts_scalar_path(self):
+        """One eviction at a time, as a migration ``insert`` reports it."""
         reg = MetricsRegistry()
         heat = AddressHeatmap(reg, worker=1)
-        heat.record_conflict(12)
-        heat.record_conflict((1 << 53) + 1)
+        heat.record_conflicts(np.array([12], dtype=np.int64))
+        heat.record_conflicts(np.array([(1 << 53) + 1], dtype=np.int64))
         assert heat.total_conflicts == 2
         h = reg.histogram("heat.conflicts", buckets=HEAT_BOUNDS, worker=1)
         assert h.counts[bucket_of(12)] == 1

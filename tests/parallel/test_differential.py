@@ -60,13 +60,12 @@ class TestRebalancingDifferential:
     def test_lossy_signature_rebalancing_matches_unrebalanced(self, name):
         # Same comparison under the lossy array-signature path: both runs
         # share one geometry/salt, so conflation is identical and the dep
-        # sets must still agree exactly.
+        # sets must still agree exactly (banks migrate as slot-plane slices).
         batch = get_trace(name)
         cfg = ProfilerConfig(
             workers=4,
             signature_slots=4096,
             signature_banks=8,
-            worker_engine="reference",
             chunk_size=256,
             rebalance_interval_chunks=4,
         )

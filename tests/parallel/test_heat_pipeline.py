@@ -8,9 +8,10 @@ Three contracts from the heatmap design:
   identical to the deterministic-mode heatmap on every bundled workload
   (rebalancing suppressed, so per-worker attribution matches the static
   partition both modes then share).
-* **Attribution** — signature-conflict heat attributed to address buckets
-  sums to the ``sigmem.evictions`` total: the bucket view is a lossless
-  decomposition of the suspect-FP conflict count.
+* **Attribution** — signature-conflict heat (recorded on provenance runs)
+  attributed to address buckets sums to the ``sigmem.evictions`` total in
+  every mode: the bucket view is a lossless decomposition of the
+  suspect-FP conflict count.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from repro.obs.heatmap import HEAT_FAMILIES, heatmap_summary
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ParallelProfiler
 from repro.workloads import get_trace, workload_names
+from tests.parallel.chunk_oracle import record_chunks, replay_reference
 
 ALL = workload_names("nas") + workload_names("starbench") + workload_names("splash2x")
 
@@ -34,13 +36,14 @@ def heat_state(reg: MetricsRegistry):
     }
 
 
-def run_mode(batch, mode, workers=2, **cfg_kw):
+def run_mode(batch, mode, workers=2, provenance=False, **cfg_kw):
     reg = MetricsRegistry()
     prof = ParallelProfiler(
         ProfilerConfig(workers=workers, **cfg_kw),
         mode=mode,
         rebalance_threshold=float("inf"),  # static partition in every mode
         registry=reg,
+        provenance=provenance,
     )
     res, info = prof.profile(batch)
     return reg, res, info
@@ -84,33 +87,41 @@ class TestModeEquivalence:
         assert state_p == state_d  # bit-for-bit: counts, sums, layouts
 
 
+def assert_conflicts_reconcile(mode):
+    batch = get_trace("is")
+    # Provenance (which turns on conflict tracking) + a tiny signature forces
+    # hash-conflict evictions; each one must land in exactly one address
+    # bucket.
+    reg, _, _ = run_mode(batch, mode, provenance=True, signature_slots=64)
+    doc = heatmap_summary(reg)
+    evictions = reg.sum_counters("sigmem.evictions")
+    assert evictions > 0
+    assert doc["total_conflicts"] == evictions
+    assert sum(doc["totals"]["conflicts"]) == evictions
+
+
 class TestConflictAttribution:
     def test_bucket_sums_equal_eviction_total(self):
-        batch = get_trace("is")
-        # Reference engine + a tiny signature forces hash-conflict
-        # evictions; each one must land in exactly one address bucket.
-        reg, _, _ = run_mode(
-            batch,
-            "deterministic",
-            worker_engine="reference",
-            signature_slots=64,
-        )
-        doc = heatmap_summary(reg)
-        evictions = reg.sum_counters("sigmem.evictions")
-        assert evictions > 0
-        assert doc["total_conflicts"] == evictions
-        assert sum(doc["totals"]["conflicts"]) == evictions
+        assert_conflicts_reconcile("deterministic")
+
+    def test_bucket_sums_equal_eviction_total_processes(self):
+        assert_conflicts_reconcile("processes")
 
     def test_occupancy_attribution_reference_engine(self):
+        """End-of-run occupancy heat equals the owner addresses the
+        reference engine's signatures hold after the same chunks."""
         batch = get_trace("rgbyuv")
-        reg, _, _ = run_mode(
-            batch, "deterministic", worker_engine="reference", signature_slots=4096
-        )
+        with record_chunks() as streams:
+            reg, _, _ = run_mode(batch, "deterministic", signature_slots=4096)
+        cfg = ProfilerConfig(workers=2, signature_slots=4096)
+        ref = replay_reference(batch, cfg, streams)
         doc = heatmap_summary(reg)
         # Occupancy recorded per worker per signature kind, bounded by slots.
-        for wdoc in doc["workers"].values():
+        for w, wdoc in doc["workers"].items():
             assert set(wdoc["occupancy"]) == {"read", "write"}
             assert 0 < sum(wdoc["occupancy"]["read"]) <= 4096 // 2
+            for kind in ("read", "write"):
+                assert wdoc["occupancy"][kind] == ref.occupancy[(int(w), kind)]
 
     def test_occupancy_matches_tracker_occupied_vectorized(self):
         batch = get_trace("rgbyuv")

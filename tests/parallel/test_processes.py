@@ -67,11 +67,11 @@ class TestProcessesMode:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("engine", ["vectorized", "reference"])
     def test_matches_sequential(self, workers, engine):
+        """The multi-process pipeline equals one-shot profiling by either
+        sequential engine (the one-shot kernel and the reference spec)."""
         batch = get_trace("ep")
-        cfg = PERFECT.with_(
-            workers=workers, chunk_size=512, worker_engine=engine
-        )
-        seq = profile_trace(batch, PERFECT, "reference")
+        cfg = PERFECT.with_(workers=workers, chunk_size=512)
+        seq = profile_trace(batch, PERFECT, engine)
         par, info = ParallelProfiler(cfg, mode="processes").profile(batch)
         assert par.store == seq.store
         assert par.stats.dep_instances == seq.stats.dep_instances

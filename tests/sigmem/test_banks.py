@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.sigmem import (
-    ArraySignature,
     BankGeometry,
-    ChainedHashTable,
     DenseKeySpace,
     DensePlaneTracker,
-    PerfectSignature,
     SlotPlaneTracker,
     payload_size,
 )
@@ -17,14 +14,17 @@ from repro.sigmem.signature import AccessRecord
 
 GEO = BankGeometry(n_banks=4, shift=12)
 
+#: The pipeline's banked trackers: exact dense planes (record-format banks),
+#: lossy slot planes (slots-format banks), and slot planes carrying the
+#: array signature's conflict tracking (owner + evicted-bit planes, as on
+#: provenance runs).
+KINDS = ["array", "dense", "slots"]
+
 
 def make_trackers(geo=GEO):
-    ks = DenseKeySpace()
     return {
-        "perfect": PerfectSignature(geometry=geo),
-        "chained": ChainedHashTable(64, geometry=geo),
-        "array": ArraySignature(64, geometry=geo),
-        "dense": DensePlaneTracker(ks, geometry=geo),
+        "array": SlotPlaneTracker(64, geometry=geo, track_conflicts=True),
+        "dense": DensePlaneTracker(DenseKeySpace(), geometry=geo),
         "slots": SlotPlaneTracker(64, geometry=geo),
     }
 
@@ -55,7 +55,7 @@ class TestBankGeometry:
 
 
 class TestBankOccupancy:
-    @pytest.mark.parametrize("kind", ["perfect", "chained", "array", "dense", "slots"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_occupancy_attributes_to_the_right_bank(self, kind):
         t = make_trackers()[kind]
         # three addresses in bank 1's stripe, one in bank 2's
@@ -66,11 +66,12 @@ class TestBankOccupancy:
         assert occ[0] == 0 and occ[3] == 0
 
     def test_unbanked_tracker_has_no_occupancy(self):
-        assert PerfectSignature().bank_occupancy() is None
+        assert DensePlaneTracker(DenseKeySpace()).bank_occupancy() is None
+        assert SlotPlaneTracker(64, track_addrs=True).bank_occupancy() is None
 
 
 class TestExportImport:
-    @pytest.mark.parametrize("kind", ["perfect", "chained", "array", "dense", "slots"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_round_trip_moves_state(self, kind):
         trackers = make_trackers()
         src, dst = trackers[kind], make_trackers()[kind]
@@ -85,7 +86,7 @@ class TestExportImport:
         rec = dst.lookup((1 << 12) + 8)
         assert rec is not None and rec.loc == 101
 
-    @pytest.mark.parametrize("kind", ["perfect", "chained", "array", "dense", "slots"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_import_is_newest_wins(self, kind):
         trackers = make_trackers()
         a, b = trackers[kind], make_trackers()[kind]
@@ -103,13 +104,32 @@ class TestExportImport:
         assert a2.lookup(addr).ts == 50
 
     def test_array_migration_not_counted_as_eviction(self):
-        src = ArraySignature(64, geometry=GEO)
-        dst = ArraySignature(64, geometry=GEO)
-        fill(src, [1 << 12, (1 << 12) + 8])
-        dst.import_bank(src.export_bank(1))
-        assert dst.bank_evictions() is not None
-        assert int(dst.bank_evictions().sum()) == 0
+        """Importing a bank over an occupied slot replaces its owner without
+        an eviction, as ``ArraySignature``'s migration merge did; the scalar
+        migration ``insert`` applies the eviction rule."""
+        evicted = []
+        src = SlotPlaneTracker(64, geometry=GEO, track_conflicts=True)
+        dst = SlotPlaneTracker(
+            64, geometry=GEO, track_conflicts=True, on_evict=evicted.extend
+        )
+        addr = 1 << 12
+        rival = next(
+            a
+            for a in range(addr + 8, 2 << 12, 8)
+            if dst.key_of(a) == dst.key_of(addr)
+        )
+        dst.insert(rival, AccessRecord(loc=1, var=0, tid=0, ts=1))
+        fill(src, [addr], ts0=10)
+        dst.import_bank(src.export_bank(1))  # newer record, other owner
+        assert dst.lookup(rival).ts == 10
+        assert evicted == []
+        assert not dst.conflict_state(np.arange(dst.n_slots))[1].any()
+        dst.insert(rival, AccessRecord(loc=2, var=0, tid=0, ts=20))
+        assert evicted == [rival]
+        assert dst.conflict_state(np.array([dst.key_of(rival)]))[1].all()
 
     def test_export_requires_geometry(self):
-        with pytest.raises(Exception):
-            PerfectSignature().export_bank(0)
+        with pytest.raises(ValueError):
+            DensePlaneTracker(DenseKeySpace()).export_bank(0)
+        with pytest.raises(ValueError):
+            SlotPlaneTracker(64).export_bank(0)

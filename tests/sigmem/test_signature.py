@@ -105,16 +105,6 @@ class TestArraySignatureSpecific:
             sig.insert(i * 8, REC)
         assert sig.memory_bytes == before  # bounded state, Section III-B
 
-    def test_slot_get_set_roundtrip(self):
-        sig = ArraySignature(64)
-        sig.insert(0x40, REC)
-        i = sig.slot_of(0x40)
-        assert sig.get_slot(i) == REC
-        sig.set_slot(i, None)
-        assert sig.get_slot(i) is None
-        sig.set_slot(i, REC2)
-        assert sig.lookup(0x40) == REC2
-
     def test_vectorized_slots_match_scalar(self):
         sig = ArraySignature(12345, salt=7)
         addrs = np.arange(0, 8 * 1000, 8, dtype=np.int64)
@@ -122,34 +112,10 @@ class TestArraySignatureSpecific:
         scalars = [sig.slot_of(int(a)) for a in addrs]
         assert vec.tolist() == scalars
 
-    def test_intersection_contains_common_elements(self):
-        """Disambiguation guarantee: common inserts appear in the intersection."""
-        a, b = ArraySignature(256), ArraySignature(256)
-        common = [8 * i for i in range(20)]
-        for addr in common:
-            a.insert(addr, REC)
-            b.insert(addr, REC2)
-        a.insert(0x9000, REC)
-        inter = set(a.intersect(b).tolist())
-        for addr in common:
-            assert a.slot_of(addr) in inter
-
-    def test_intersect_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            ArraySignature(64).intersect(ArraySignature(128))
-
     def test_salt_changes_layout(self):
         a, b = ArraySignature(1 << 20, salt=0), ArraySignature(1 << 20, salt=1)
         addrs = np.arange(0, 8 * 512, 8, dtype=np.int64)
         assert not np.array_equal(a.slots_of(addrs), b.slots_of(addrs))
-
-    def test_occupied_slots_view(self):
-        sig = ArraySignature(1 << 12)
-        for i in range(5):
-            sig.insert(0x100 + 8 * i, REC)
-        occ = sig.occupied_slots()
-        assert len(occ) == sig.occupied() == 5
-        assert dict(sig.iter_occupied())  # iterable, non-empty
 
     @settings(max_examples=50)
     @given(
